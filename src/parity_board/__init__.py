@@ -10,6 +10,7 @@ from .abseq import (
     NonzeroAlternatingSum,
     NotWeaklyDecreasing,
     PreconditionViolated,
+    alternating_sum,
     check_pairing_property,
     check_prefix_sign_property,
     enumerate_sequences,
@@ -51,9 +52,6 @@ from .qseries import (
     TruncatedSeries,
     gf_coefficients,
     pochhammer_q,
-    series_add,
-    series_mul,
-    series_reciprocal,
     strict_count_by_rank,
     strict_rank_gf,
 )

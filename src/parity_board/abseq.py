@@ -10,10 +10,11 @@ have to exceed its predecessor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "ABSequence",
+    "alternating_sum",
     "EMPTY_SEQUENCE",
     "InvalidABSequence",
     "NonPositiveEntry",
@@ -47,6 +48,11 @@ class PreconditionViolated(ValueError):
     """A property checker was called outside its stated domain."""
 
 
+def alternating_sum(xs: Sequence[int]) -> int:
+    """-x_1 + x_2 - x_3 + ..., the sum that vanishes on every sequence."""
+    return sum(xs[1::2]) - sum(xs[0::2])
+
+
 @dataclass(frozen=True)
 class ABSequence:
     """Validated sequence d_1..d_l; the empty sequence has a = b = 0.
@@ -78,7 +84,7 @@ class ABSequence:
                     raise NotWeaklyDecreasing(
                         f"entry {entries[i + 1]} at index {i + 2} exceeds {entries[i]}"
                     )
-            alt = sum(d if i % 2 else -d for i, d in enumerate(entries))
+            alt = alternating_sum(entries)
             if alt != 0:
                 raise NonzeroAlternatingSum(f"alternating sum is {alt}, not 0")
         object.__setattr__(self, "a", a)
@@ -94,7 +100,7 @@ class ABSequence:
 
     @property
     def alt_sum(self) -> int:
-        return sum(d if i % 2 else -d for i, d in enumerate(self.entries))
+        return alternating_sum(self.entries)
 
     @property
     def is_empty(self) -> bool:
@@ -140,7 +146,7 @@ def enumerate_sequences(a: int, b: int, half_weight: int) -> list[ABSequence]:
     remaining = 2 * half_weight - sum(prefix)
     if remaining < 0:
         return []
-    alt = sum(d if i % 2 else -d for i, d in enumerate(prefix))
+    alt = alternating_sum(prefix)
 
     out: list[ABSequence] = []
     tail: list[int] = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .abseq import ABSequence, InvalidABSequence, enumerate_sequences
+from .abseq import ABSequence, InvalidABSequence, alternating_sum, enumerate_sequences
 from .partitions import (
     ColumnSequence,
     Partition,
@@ -251,7 +251,7 @@ def split_strict(s: StrictPartition) -> StaircaseSplit:
     k(k+1)/2 cells.  Weight is preserved: |s| = triangular + remnant weight.
     """
     profile = columns(s)
-    total = sum(h if j % 2 else -h for j, h in enumerate(profile.cols))
+    total = alternating_sum(profile.cols)
     k = 2 * total if total >= 0 else -2 * total - 1
     if k > len(s.parts):
         raise InternalInvariantViolation(f"split point {k} exceeds the {len(s.parts)} rows of {s}")

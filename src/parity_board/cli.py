@@ -9,8 +9,9 @@ stays byte-stable.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import tables, verify
 
@@ -29,10 +30,22 @@ def _positive(text: str) -> int:
     return value
 
 
+# Flag types of sweep parameters; every parameter not named here is nonnegative.
+_PARAM_TYPES: dict[str, Callable[[str], int]] = {"k_min": int, "k_max": int, "m_max": _positive}
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser, sweep: Callable) -> None:
+    """One flag per grid parameter of ``sweep``, with the signature's default."""
+    for name, param in inspect.signature(sweep).parameters.items():
+        if name != "jobs":
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, type=_PARAM_TYPES.get(name, _nonnegative), default=param.default)
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
-        choices=("tsv", "json-lines"),
+        choices=tables.FORMATS,
         default="tsv",
         help="output format (default tsv)",
     )
@@ -73,53 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--half-weight", type=_nonnegative, required=True, metavar="N")
     _add_output_flags(pq)
 
-    p = sub.add_parser("verify-phi", help="sequence <-> partition bijection sweep")
-    p.add_argument("--a-max", type=_nonnegative, default=3)
-    p.add_argument("--b-max", type=_nonnegative, default=4)
-    p.add_argument("--n-max", type=_nonnegative, default=12)
-    _add_jobs_flag(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("verify-gf", help="generating function coefficients vs enumeration")
-    p.add_argument("--a-max", type=_nonnegative, default=4)
-    p.add_argument("--b-max", type=_nonnegative, default=8)
-    p.add_argument("--trunc", type=_nonnegative, default=15)
-    _add_jobs_flag(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("verify-iota", help="staircase split of strict partitions sweep")
-    p.add_argument("--n-max", type=_nonnegative, default=25)
-    _add_jobs_flag(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("verify-thm34", help="counts by (parts, BG-rank) vs closed form")
-    p.add_argument("--k-min", type=int, default=-3)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--m-max", type=_positive, default=8)
-    p.add_argument("--n-max", type=_nonnegative, default=30)
-    _add_jobs_flag(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("verify-euler", help="strict vs triangular-plus-even-part counts")
-    p.add_argument("--n-max", type=_nonnegative, default=40)
-    _add_jobs_flag(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("verify-congruences", help="mod-5 families of rank counts")
-    p.add_argument("--n-max", type=_nonnegative, default=101)
-    _add_jobs_flag(p)
-    _add_output_flags(p)
+    for command, (name, help_text) in verify.SWEEPS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_sweep_flags(p, getattr(verify, name))
+        _add_jobs_flag(p)
+        _add_output_flags(p)
 
     p = sub.add_parser("table", help="emit a named table")
     p.add_argument("kind", choices=tables.TABLE_KINDS)
     p.add_argument("--n", type=_nonnegative, default=None, help="bound for table1 and counts")
-    p.add_argument("--a-max", type=_nonnegative, default=4)
-    p.add_argument("--b-max", type=_nonnegative, default=8)
-    p.add_argument("--trunc", type=_nonnegative, default=15)
-    p.add_argument("--k-min", type=int, default=-3)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--m-max", type=_positive, default=8)
-    p.add_argument("--n-max", type=_nonnegative, default=30)
+    _add_sweep_flags(p, verify.verify_gf)
+    _add_sweep_flags(p, verify.verify_theorem34)
     _add_output_flags(p)
 
     return parser
@@ -134,20 +111,14 @@ def _write(lines: Iterable[str], out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _params(args: argparse.Namespace) -> dict:
+    """The parsed grid parameters (and ``--jobs``), without the output flags."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "kind", "format", "out")}
+
+
 def _run_verify(args: argparse.Namespace) -> int:
-    runners = {
-        "verify-phi": lambda: verify.verify_bijection_phi(
-            args.a_max, args.b_max, args.n_max, jobs=args.jobs
-        ),
-        "verify-gf": lambda: verify.verify_gf(args.a_max, args.b_max, args.trunc, jobs=args.jobs),
-        "verify-iota": lambda: verify.verify_iota(args.n_max, jobs=args.jobs),
-        "verify-thm34": lambda: verify.verify_theorem34(
-            args.k_min, args.k_max, args.m_max, args.n_max, jobs=args.jobs
-        ),
-        "verify-euler": lambda: verify.verify_euler_vandervelde(args.n_max, jobs=args.jobs),
-        "verify-congruences": lambda: verify.verify_congruences(args.n_max, jobs=args.jobs),
-    }
-    report = runners[args.command]()
+    sweep = getattr(verify, verify.SWEEPS[args.command][0])
+    report = sweep(**_params(args))
     lines = report.tsv_lines() if args.format == "tsv" else report.json_lines()
     _write(lines, args.out)
     print(
@@ -174,27 +145,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         _write(lines, args.out)
         return 0
 
+    if getattr(args, "k_min", 0) > getattr(args, "k_max", 0):
+        parser.error("--k-min must not exceed --k-max")
+
     if args.command == "table":
-        if args.kind in ("table1", "counts"):
-            if args.n is None:
-                parser.error(f"table {args.kind} requires --n")
-            lines = tables.emit_table(args.kind, args.format, n=args.n)
-        elif args.kind == "s-coeffs":
-            lines = tables.emit_table(
-                args.kind, args.format, a_max=args.a_max, b_max=args.b_max, trunc=args.trunc
-            )
-        else:
-            if args.k_min > args.k_max:
-                parser.error("--k-min must not exceed --k-max")
-            lines = tables.emit_table(
-                args.kind,
-                args.format,
-                k_min=args.k_min,
-                k_max=args.k_max,
-                m_max=args.m_max,
-                n_max=args.n_max,
-            )
-        _write(lines, args.out)
+        if args.kind in ("table1", "counts") and args.n is None:
+            parser.error(f"table {args.kind} requires --n")
+        _write(tables.emit_table(args.kind, args.format, **_params(args)), args.out)
         return 0
 
     return _run_verify(args)

@@ -89,9 +89,7 @@ class ColumnSequence:
         for c in cols:
             if c < 1:
                 raise MalformedColumns(f"column heights must be positive, got {c}")
-        m = 0
-        while m < len(cols) and cols[m] == m + 1:
-            m += 1
+        m = self.staircase_height
         if cols and m == 0:
             raise MalformedColumns("first column height must be 1")
         for i in range(m - 1, len(cols) - 1):

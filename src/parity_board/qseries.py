@@ -13,9 +13,6 @@ from .partitions import partition_count
 __all__ = [
     "TruncatedSeries",
     "NonUnitConstantTerm",
-    "series_add",
-    "series_mul",
-    "series_reciprocal",
     "pochhammer_q",
     "CoeffTable",
     "gf_coefficients",
@@ -109,18 +106,6 @@ class TruncatedSeries:
     def __str__(self) -> str:
         terms = [f"{c}*q^{i}" for i, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
-
-
-def series_add(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    return s + t
-
-
-def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    return s * t
-
-
-def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
-    return s.reciprocal()
 
 
 def pochhammer_q(k: int, trunc_order: int) -> TruncatedSeries:

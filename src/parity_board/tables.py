@@ -7,23 +7,20 @@ emitted in a fixed enumeration order.
 
 from __future__ import annotations
 
-import json
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .abseq import enumerate_sequences
-from .bijections import (
-    count_strict_by_parts_rank,
-    count_strict_by_parts_rank_formula,
-    split_strict,
-)
+from .bijections import split_strict
 from .partitions import (
     enumerate_partitions,
     enumerate_strict_partitions,
     partition_count,
 )
 from .qseries import gf_coefficients
+from .verify import canonical_json, theorem34_counts, theorem34_grid
 
 __all__ = [
+    "FORMATS",
     "TABLE_KINDS",
     "emit_table",
     "emit_partitions",
@@ -31,110 +28,85 @@ __all__ = [
     "emit_sequences",
 ]
 
+FORMATS = ("tsv", "json-lines")
 TABLE_KINDS = ("table1", "s-coeffs", "theorem34", "counts")
 
 
-def _json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _emit(rows: Iterable, fmt: str, tsv: Callable[..., str], record: Callable[..., dict]) -> Iterator[str]:
+    """Format each row as the TSV line ``tsv(row)`` or the JSON record
+    ``record(row)``; the only place that branches on the format."""
+    if fmt == "tsv":
+        return map(tsv, rows)
+    if fmt == "json-lines":
+        return (canonical_json(record(row)) for row in rows)
+    raise ValueError(f"unknown format {fmt!r}")
 
 
-def _table1(n: int, fmt: str) -> Iterator[str]:
-    for s in enumerate_strict_partitions(n):
-        img = split_strict(s)
-        if fmt == "tsv":
-            yield f"{s}\t{img}"
-        else:
-            yield _json(
-                {
-                    "table": "table1",
-                    "partition": list(s.parts),
-                    "t": img.triangular,
-                    "delta": list(img.seq.entries),
-                }
-            )
+def _tab(row: tuple) -> str:
+    return "\t".join(map(str, row))
 
 
-def _counts(n: int, fmt: str) -> Iterator[str]:
-    for m in range(n + 1):
-        strict = len(enumerate_strict_partitions(m))
-        if fmt == "tsv":
-            yield f"{m}\t{partition_count(m)}\t{strict}"
-        else:
-            yield _json(
-                {"table": "counts", "n": m, "partitions": partition_count(m), "strict": strict}
-            )
+def _fields(table: str, *names: str) -> Callable[[tuple], dict]:
+    """Record maker naming the columns of a tuple row."""
+    return lambda row: {"table": table, **dict(zip(names, row))}
 
 
-def _s_coeffs(a_max: int, b_max: int, trunc: int, fmt: str) -> Iterator[str]:
-    table = gf_coefficients(a_max, b_max, trunc)
-    for (a, b, n), value in table.cells():
-        if not value:
-            continue
-        if fmt == "tsv":
-            yield f"{a}\t{b}\t{n}\t{value}"
-        else:
-            yield _json({"table": "s-coeffs", "a": a, "b": b, "n": n, "count": value})
+def _parts_record(obj) -> dict:
+    return {"parts": list(obj.parts), "weight": obj.weight}
 
 
-def _theorem34(k_min: int, k_max: int, m_max: int, n_max: int, fmt: str) -> Iterator[str]:
-    for k in range(k_min, k_max + 1):
-        for m in range(1, m_max + 1):
-            for n in range(n_max + 1):
-                lhs = count_strict_by_parts_rank(k, m, n)
-                rhs = count_strict_by_parts_rank_formula(k, m, n)
-                if fmt == "tsv":
-                    yield f"{k}\t{m}\t{n}\t{lhs}\t{rhs}"
-                else:
-                    yield _json(
-                        {
-                            "table": "theorem34",
-                            "k": k,
-                            "m": m,
-                            "n": n,
-                            "count": lhs,
-                            "formula": rhs,
-                        }
-                    )
+def emit_table(kind: str, fmt: str = "tsv", **params: Optional[int]) -> Iterator[str]:
+    """Rows of the named table as formatted lines; see TABLE_KINDS.
 
-
-def emit_table(kind: str, fmt: str = "tsv", **params: int) -> Iterator[str]:
-    """Rows of the named table as formatted lines; see TABLE_KINDS."""
-    if fmt not in ("tsv", "json-lines"):
-        raise ValueError(f"unknown format {fmt!r}")
+    ``params`` may hold more bounds than the kind uses: table1 and counts
+    read ``n``, s-coeffs the parameters of ``verify_gf`` and theorem34 those
+    of ``verify_theorem34``.
+    """
     if kind == "table1":
-        return _table1(params["n"], fmt)
-    if kind == "counts":
-        return _counts(params["n"], fmt)
-    if kind == "s-coeffs":
-        return _s_coeffs(params["a_max"], params["b_max"], params["trunc"], fmt)
-    if kind == "theorem34":
-        return _theorem34(
-            params["k_min"], params["k_max"], params["m_max"], params["n_max"], fmt
+        rows = ((s, split_strict(s)) for s in enumerate_strict_partitions(params["n"]))
+        return _emit(
+            rows,
+            fmt,
+            _tab,
+            lambda row: {
+                "table": "table1",
+                "partition": list(row[0].parts),
+                "t": row[1].triangular,
+                "delta": list(row[1].seq.entries),
+            },
         )
+    if kind == "counts":
+        rows = (
+            (m, partition_count(m), len(enumerate_strict_partitions(m)))
+            for m in range(params["n"] + 1)
+        )
+        return _emit(rows, fmt, _tab, _fields("counts", "n", "partitions", "strict"))
+    if kind == "s-coeffs":
+        table = gf_coefficients(params["a_max"], params["b_max"], params["trunc"])
+        rows = (cell + (value,) for cell, value in table.cells() if value)
+        return _emit(rows, fmt, _tab, _fields("s-coeffs", "a", "b", "n", "count"))
+    if kind == "theorem34":
+        grid = theorem34_grid(params["k_min"], params["k_max"], params["m_max"], params["n_max"])
+        rows = (cell + theorem34_counts(*cell) for cell in grid)
+        return _emit(rows, fmt, _tab, _fields("theorem34", "k", "m", "n", "count", "formula"))
     raise ValueError(f"unknown table kind {kind!r}")
 
 
 def emit_partitions(
     n: int, max_part: Optional[int], parts_filter: str, fmt: str
 ) -> Iterator[str]:
-    for p in enumerate_partitions(n, max_part=max_part, parts_filter=parts_filter):
-        if fmt == "tsv":
-            yield str(p)
-        else:
-            yield _json({"parts": list(p.parts), "weight": p.weight})
+    rows = enumerate_partitions(n, max_part=max_part, parts_filter=parts_filter)
+    return _emit(rows, fmt, str, _parts_record)
 
 
 def emit_strict_partitions(n: int, num_parts: Optional[int], fmt: str) -> Iterator[str]:
-    for s in enumerate_strict_partitions(n, num_parts=num_parts):
-        if fmt == "tsv":
-            yield str(s)
-        else:
-            yield _json({"parts": list(s.parts), "weight": s.weight})
+    return _emit(enumerate_strict_partitions(n, num_parts=num_parts), fmt, str, _parts_record)
 
 
 def emit_sequences(a: int, b: int, half_weight: int, fmt: str) -> Iterator[str]:
-    for seq in enumerate_sequences(a, b, half_weight):
-        if fmt == "tsv":
-            yield str(seq)
-        else:
-            yield _json({"a": seq.a, "b": seq.b, "entries": list(seq.entries), "weight": seq.weight})
+    return _emit(
+        enumerate_sequences(a, b, half_weight),
+        fmt,
+        str,
+        lambda seq: {"a": seq.a, "b": seq.b, "entries": list(seq.entries), "weight": seq.weight},
+    )

@@ -10,6 +10,7 @@ kept on the report but deliberately left out of the serialization.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from .partitions import (
 from .qseries import gf_coefficients, strict_count_by_rank
 
 __all__ = [
+    "SWEEPS",
     "Mismatch",
     "VerificationReport",
     "CONGRUENCE_FAMILIES",
@@ -46,6 +48,23 @@ __all__ = [
     "verify_euler_vandervelde",
     "verify_congruences",
 ]
+
+
+# CLI subcommand -> (name of the sweep function in this module, help text).
+# Each function's signature declares the sweep's grid parameters and defaults.
+SWEEPS: dict[str, tuple[str, str]] = {
+    "verify-phi": ("verify_bijection_phi", "sequence <-> partition bijection sweep"),
+    "verify-gf": ("verify_gf", "generating function coefficients vs enumeration"),
+    "verify-iota": ("verify_iota", "staircase split of strict partitions sweep"),
+    "verify-thm34": ("verify_theorem34", "counts by (parts, BG-rank) vs closed form"),
+    "verify-euler": ("verify_euler_vandervelde", "strict vs triangular-plus-even-part counts"),
+    "verify-congruences": ("verify_congruences", "mod-5 families of rank counts"),
+}
+
+
+def canonical_json(obj: dict) -> str:
+    """The byte-stable JSON text of one record: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -94,7 +113,7 @@ class VerificationReport:
             "mismatches": len(self.mismatches),
             "status": "pass" if self.passed else "fail",
         }
-        yield json.dumps(head, sort_keys=True, separators=(",", ":"))
+        yield canonical_json(head)
         for m in self.mismatches:
             rec = {
                 "record": "mismatch",
@@ -103,22 +122,32 @@ class VerificationReport:
                 "expected": m.expected,
                 "actual": m.actual,
             }
-            yield json.dumps(rec, sort_keys=True, separators=(",", ":"))
+            yield canonical_json(rec)
 
 
 CellResult = tuple[int, int, list[Mismatch]]
 
 
 def _run_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
-    """Map ``fn`` over ``cells`` preserving order, optionally in processes."""
-    if jobs > 1 and len(cells) > 1:
-        chunk = max(1, len(cells) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """Map ``fn`` over ``cells`` preserving order, optionally in processes.
+
+    At most ``jobs`` workers start, and never more than there are CPUs or
+    cells.
+    """
+    workers = min(jobs, os.cpu_count() or 1, len(cells))
+    if workers > 1:
+        chunk = max(1, len(cells) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, cells, chunksize=chunk))
     return [fn(cell) for cell in cells]
 
 
-def _merge(subject: str, params: dict[str, int], results: list[CellResult], t0: float) -> VerificationReport:
+def _sweep(
+    subject: str, cell: Callable[..., CellResult], cells: Sequence, params: dict[str, int], jobs: int
+) -> VerificationReport:
+    """Run ``cell`` over ``cells`` and merge the results in grid order."""
+    t0 = time.perf_counter()
+    results = _run_cells(cell, cells, jobs)
     checks = sum(r[0] for r in results)
     skipped = sum(r[1] for r in results)
     mismatches = [m for r in results for m in r[2]]
@@ -160,48 +189,40 @@ def verify_bijection_phi(a_max: int = 3, b_max: int = 4, n_max: int = 12, jobs: 
     membership, agreement with the literal board filling, and equality of
     the two cardinalities.
     """
-    t0 = time.perf_counter()
     cells = [
         (a, b, n)
         for a in range(a_max + 1)
         for b in range(1, b_max + 1)
         for n in range(n_max + 1)
     ]
-    results = _run_cells(_phi_cell, cells, jobs)
     params = {"a_max": a_max, "b_max": b_max, "n_max": n_max}
-    return _merge("sequence-partition-bijection", params, results, t0)
+    return _sweep("sequence-partition-bijection", _phi_cell, cells, params, jobs)
 
 
-def _gf_cell(cell: tuple[int, int, int]) -> int:
-    a, b, n = cell
+def _gf_cell(cell: tuple[int, int, int, int]) -> CellResult:
+    """Count one cell by enumeration and compare with the table value it
+    carries; the closed form itself is never consulted here."""
+    a, b, n, value = cell
     if b == 0:
-        return 1 if cell == (0, 0, 0) else 0
-    return len(enumerate_sequences(a, b, n))
+        count = 1 if (a, n) == (0, 0) else 0
+    else:
+        count = len(enumerate_sequences(a, b, n))
+    if count != value:
+        return 1, 0, [Mismatch("coefficient", {"a": a, "b": b, "n": n}, str(count), str(value))]
+    return 1, 0, []
 
 
 def verify_gf(a_max: int = 4, b_max: int = 8, trunc: int = 15, jobs: int = 1) -> VerificationReport:
     """Compare every coefficient-table cell against direct enumeration."""
-    t0 = time.perf_counter()
     table = gf_coefficients(a_max, b_max, trunc)
     cells = [
-        (a, b, n)
+        (a, b, n, table.entry(a, b, n))
         for a in range(a_max + 1)
         for b in range(b_max + 1)
         for n in range(trunc + 1)
     ]
-    counts = _run_cells(_gf_cell, cells, jobs)
-    mismatches = []
-    for cell, expected in zip(cells, counts):
-        actual = table.entry(*cell)
-        if actual != expected:
-            a, b, n = cell
-            mismatches.append(
-                Mismatch("coefficient", {"a": a, "b": b, "n": n}, str(expected), str(actual))
-            )
     params = {"a_max": a_max, "b_max": b_max, "trunc": trunc}
-    return VerificationReport(
-        "sequence-gf", params, len(cells), mismatches, 0, time.perf_counter() - t0
-    )
+    return _sweep("sequence-gf", _gf_cell, cells, params, jobs)
 
 
 def _admissible_splits(n: int) -> list[StaircaseSplit]:
@@ -269,17 +290,29 @@ def verify_iota(n_max: int = 25, jobs: int = 1) -> VerificationReport:
     """Check the staircase split on all strict partitions up to ``n_max``:
     round trip, weight additivity, injectivity, and that the image
     characterization is sound and complete."""
-    t0 = time.perf_counter()
     cells = list(range(n_max + 1))
-    results = _run_cells(_iota_cell, cells, jobs)
-    return _merge("strict-staircase-split", {"n_max": n_max}, results, t0)
+    return _sweep("strict-staircase-split", _iota_cell, cells, {"n_max": n_max}, jobs)
+
+
+def theorem34_grid(k_min: int, k_max: int, m_max: int, n_max: int) -> list[tuple[int, int, int]]:
+    """The (k, m, n) cells of the theorem 3.4 sweep, in grid order."""
+    return [
+        (k, m, n)
+        for k in range(k_min, k_max + 1)
+        for m in range(1, m_max + 1)
+        for n in range(n_max + 1)
+    ]
+
+
+def theorem34_counts(k: int, m: int, n: int) -> tuple[int, int]:
+    """The enumerated count of one cell and its closed-form counterpart."""
+    return count_strict_by_parts_rank(k, m, n), count_strict_by_parts_rank_formula(k, m, n)
 
 
 def _thm34_cell(cell: tuple[int, int, int]) -> CellResult:
-    k, m, n = cell
-    lhs = count_strict_by_parts_rank(k, m, n)
-    rhs = count_strict_by_parts_rank_formula(k, m, n)
+    lhs, rhs = theorem34_counts(*cell)
     if lhs != rhs:
+        k, m, n = cell
         return 1, 0, [Mismatch("count-equality", {"k": k, "m": m, "n": n}, str(lhs), str(rhs))]
     return 1, 0, []
 
@@ -289,16 +322,9 @@ def verify_theorem34(
 ) -> VerificationReport:
     """Brute-force count of strict partitions by (parts, BG-rank) against the
     closed-form dispatch, over the full grid."""
-    t0 = time.perf_counter()
-    cells = [
-        (k, m, n)
-        for k in range(k_min, k_max + 1)
-        for m in range(1, m_max + 1)
-        for n in range(n_max + 1)
-    ]
-    results = _run_cells(_thm34_cell, cells, jobs)
+    cells = theorem34_grid(k_min, k_max, m_max, n_max)
     params = {"k_min": k_min, "k_max": k_max, "m_max": m_max, "n_max": n_max}
-    return _merge("strict-by-parts-and-rank", params, results, t0)
+    return _sweep("strict-by-parts-and-rank", _thm34_cell, cells, params, jobs)
 
 
 def _euler_cell(n: int) -> CellResult:
@@ -316,10 +342,8 @@ def _euler_cell(n: int) -> CellResult:
 def verify_euler_vandervelde(n_max: int = 40, jobs: int = 1) -> VerificationReport:
     """Strict partitions of n versus pairs (triangular part, partition into
     even parts) of total weight n, both sides enumerated."""
-    t0 = time.perf_counter()
     cells = list(range(n_max + 1))
-    results = _run_cells(_euler_cell, cells, jobs)
-    return _merge("strict-vs-triangular-plus-even", {"n_max": n_max}, results, t0)
+    return _sweep("strict-vs-triangular-plus-even", _euler_cell, cells, {"n_max": n_max}, jobs)
 
 
 # (residue of n mod 10, residues of the rank mod 10) for the six families
@@ -366,12 +390,10 @@ def verify_congruences(n_max: int = 101, jobs: int = 1) -> VerificationReport:
     vacuously; where the weight also stays within brute-force range the
     closed-form count is cross-checked against direct enumeration.
     """
-    t0 = time.perf_counter()
     cells = []
     for rank in range(-5, 6):
         n_res = _family_residue(rank)
         if n_res is None:
             continue
         cells.extend((rank, n) for n in range(n_res, n_max + 1, 10))
-    results = _run_cells(_congruence_cell, cells, jobs)
-    return _merge("rank-count-congruences-mod5", {"n_max": n_max}, results, t0)
+    return _sweep("rank-count-congruences-mod5", _congruence_cell, cells, {"n_max": n_max}, jobs)

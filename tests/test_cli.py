@@ -174,6 +174,12 @@ class TestVerifyCommands:
             main(["verify-iota", "--jobs", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [("verify-thm34",), ("table", "theorem34")])
+    def test_inverted_k_range_is_usage_error(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--k-min", "3", "--k-max", "-3"])
+        assert exc.value.code == 2
+
 
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "rows.tsv"

@@ -1,0 +1,44 @@
+"""The README invocations against the golden outputs of the benchmark.
+
+``perfbench/golden.json`` holds, for each invocation of the benchmark, the
+stdout sha256 of a ``table`` or ``enumerate`` run and the ``checks`` count of
+a ``verify-*`` report.  This module runs the benchmark's ``pinned``
+invocations (the README command lines at their default bounds) in-process and
+holds them to the same rules as the benchmark gate, so a change of output is
+caught by the ordinary test run.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from parity_board.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _pinned() -> tuple[tuple[str, ...], ...]:
+    spec = importlib.util.spec_from_file_location("_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.PINNED
+
+
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["invocations"]
+
+
+@pytest.mark.parametrize("argv", _pinned(), ids=" ".join)
+def test_pinned_invocation_matches_golden(capsys, argv):
+    want = GOLDEN[" ".join(argv)]
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    if argv[0].startswith("verify-"):
+        fields = dict(line.split("\t") for line in out.splitlines() if line.count("\t") == 1)
+        assert (fields["status"], fields["mismatches"]) == ("pass", "0")
+        assert int(fields["checks"]) >= want["checks"]
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]

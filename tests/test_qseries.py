@@ -12,9 +12,6 @@ from parity_board.qseries import (
     TruncatedSeries,
     gf_coefficients,
     pochhammer_q,
-    series_add,
-    series_mul,
-    series_reciprocal,
     strict_count_by_rank,
     strict_rank_gf,
 )
@@ -23,23 +20,23 @@ from parity_board.qseries import (
 class TestSeriesArithmetic:
     def test_geometric(self):
         one_minus_q = TruncatedSeries((1, -1, 0, 0))
-        assert series_reciprocal(one_minus_q).coeffs == (1, 1, 1, 1)
+        assert one_minus_q.reciprocal().coeffs == (1, 1, 1, 1)
 
     def test_product(self):
         s = TruncatedSeries((1, -1, 0, 0))
         t = TruncatedSeries((1, 1, 0, 0))
-        assert series_mul(s, t).coeffs == (1, 0, -1, 0)
+        assert (s * t).coeffs == (1, 0, -1, 0)
 
     def test_add_sub_neg(self):
         s = TruncatedSeries((1, 2, 3))
         t = TruncatedSeries((0, 1, -3))
-        assert series_add(s, t).coeffs == (1, 3, 0)
+        assert (s + t).coeffs == (1, 3, 0)
         assert (s - t).coeffs == (1, 1, 6)
         assert (-s).coeffs == (-1, -2, -3)
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
-            series_add(TruncatedSeries((1, 0)), TruncatedSeries((1, 0, 0)))
+            TruncatedSeries((1, 0)) + TruncatedSeries((1, 0, 0))
 
     def test_reciprocal_requires_unit(self):
         with pytest.raises(NonUnitConstantTerm):

@@ -1,5 +1,6 @@
 import pytest
 
+from parity_board import verify
 from parity_board.verify import (
     CONGRUENCE_FAMILIES,
     Mismatch,
@@ -109,3 +110,41 @@ def test_failure_report_rendering():
     assert '"record":"mismatch"' in json_lines[1]
     # wall time stays out of both serializations
     assert not any("1.25" in line for line in tsv + json_lines)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in this process, so no worker is ever started."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells, chunksize=1):
+        return map(fn, cells)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, n_cells, workers",
+    [
+        (64, 4, 10, [4]),  # capped at the CPU count
+        (64, 16, 5, [5]),  # capped at the cell count
+        (3, 16, 10, [3]),  # the requested count when it is the smallest
+        (64, None, 10, []),  # unknown CPU count: one CPU, no pool
+        (64, 8, 1, []),  # a single cell never starts a pool
+    ],
+)
+def test_worker_count_is_capped(monkeypatch, jobs, cpus, n_cells, workers):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    cells = list(range(n_cells))
+    assert verify._run_cells(abs, cells, jobs) == cells
+    assert _RecordingPool.max_workers == workers
