@@ -14,6 +14,7 @@ from .abseq import (
     check_pairing_property,
     check_prefix_sign_property,
     enumerate_sequences,
+    sequence_tails,
     validate,
 )
 from .bijections import (
@@ -45,6 +46,8 @@ from .partitions import (
     enumerate_strict_partitions,
     from_columns,
     partition_count,
+    partition_tuples,
+    strict_partition_tuples,
 )
 from .qseries import (
     CoeffTable,

@@ -10,7 +10,7 @@ have to exceed its predecessor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "ABSequence",
@@ -23,6 +23,7 @@ __all__ = [
     "PreconditionViolated",
     "validate",
     "enumerate_sequences",
+    "sequence_tails",
     "check_prefix_sign_property",
     "check_pairing_property",
 ]
@@ -128,43 +129,80 @@ def validate(raw: Iterable[int]) -> ABSequence:
     return ABSequence(tuple(raw))
 
 
-def enumerate_sequences(a: int, b: int, half_weight: int) -> list[ABSequence]:
-    """All sequences with parameters (a, b) and weight ``2 * half_weight``.
+def _tails(bound: int, rest: int, u: int) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing tails with entries at most ``bound`` and sum ``rest``
+    that bring the running alternating sum to 0, in descending lex order.
 
-    The staircase prefix is fixed; tails are generated in descending
-    lexicographic order, so the output order is deterministic.  A partial
-    tail is abandoned once the unplaced weight cannot cancel the running
-    alternating sum, since each later entry moves the sum by at most itself.
+    ``u`` is the running sum times the sign of the next position, and the
+    caller has checked the prune rule of :func:`enumerate_sequences` for it.
+    Placing v turns (bound, rest, u) into (v, rest - v, -u - v); the rule holds
+    there exactly when max(1, -u) <= v <= min(bound, (rest - u) / 2), so the
+    search descends greedily by the largest such v, lowers the deepest entry
+    that stays in its range, and never enters a prefix that cannot complete.
     """
+    tail: list[int] = []
+    # plain comparisons and one assignment per name: min(), max() and tuple
+    # packing cost more than the rest of this loop
+    while True:
+        while rest:
+            v = (rest - u) // 2
+            if v > bound:
+                v = bound
+            tail.append(v)
+            bound = v
+            rest -= v
+            u = -u - v
+        yield tuple(tail)
+        while True:
+            if not tail:
+                return
+            v = tail.pop()
+            rest += v
+            u = -u - v
+            if v > 1 and v > -u:  # v - 1 >= max(1, -u)
+                break
+        v -= 1
+        tail.append(v)
+        bound = v
+        rest -= v
+        u = -u - v
+
+
+def sequence_tails(a: int, b: int, half_weight: int) -> Iterator[tuple[int, ...]]:
+    """The entries past the staircase of each sequence of
+    :func:`enumerate_sequences`, lazily and in the same order, without
+    building objects; the arguments are checked at the call."""
     if a < 0:
         raise ValueError("a must be nonnegative")
     if b < 1:
         raise ValueError("b must be positive")
     if half_weight < 0:
         raise ValueError("half_weight must be nonnegative")
+    prefix = range(a + 1, a + b + 1)
+    rest = 2 * half_weight - sum(prefix)
+    # position b + 1 enters the alternating sum with sign + when it is even
+    u = alternating_sum(prefix) if b % 2 else -alternating_sum(prefix)
+    if rest < 0 or u > 0 or -u > min(a + b, rest) or (rest - u) % 2:
+        return iter(())
+    return _tails(a + b, rest, u)
+
+
+def enumerate_sequences(a: int, b: int, half_weight: int) -> list[ABSequence]:
+    """All sequences with parameters (a, b) and weight ``2 * half_weight``.
+
+    The staircase prefix is fixed; tails are generated in descending
+    lexicographic order, so the output order is deterministic.
+
+    Prune rule: a weakly decreasing tail t_1 >= t_2 >= ... with signs s, -s,
+    s, ... adds s*T to the running alternating sum, where
+    T = t_1 - t_2 + t_3 - ... satisfies 0 <= T <= t_1 <= min(bound, rest)
+    and T = rest (mod 2), rest being the weight still to place.  A prefix
+    admitting no such T that cancels the running sum is abandoned; every
+    prefix admitting one completes (take T, then pairs of ones), so the
+    rule cuts exactly the empty subtrees and leaves the order unchanged.
+    """
     prefix = tuple(range(a + 1, a + b + 1))
-    remaining = 2 * half_weight - sum(prefix)
-    if remaining < 0:
-        return []
-    alt = alternating_sum(prefix)
-
-    out: list[ABSequence] = []
-    tail: list[int] = []
-
-    def extend(bound: int, remaining: int, alt: int, pos: int) -> None:
-        if remaining == 0:
-            if alt == 0:
-                out.append(ABSequence(prefix + tuple(tail)))
-            return
-        if abs(alt) > remaining:
-            return
-        for v in range(min(bound, remaining), 0, -1):
-            tail.append(v)
-            extend(v, remaining - v, alt + (v if pos % 2 == 0 else -v), pos + 1)
-            tail.pop()
-
-    extend(a + b, remaining, alt, b + 1)
-    return out
+    return [ABSequence(prefix + tail) for tail in sequence_tails(a, b, half_weight)]
 
 
 def check_prefix_sign_property(d: ABSequence) -> bool:

@@ -20,9 +20,12 @@ its shifted-diagram columns plus a leftover sequence, and is injective.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
-from .abseq import ABSequence, InvalidABSequence, alternating_sum, enumerate_sequences
+from .abseq import ABSequence, InvalidABSequence, alternating_sum, sequence_tails
 from .partitions import (
     ColumnSequence,
     Partition,
@@ -30,9 +33,9 @@ from .partitions import (
     bg_rank,
     columns,
     durfee_rectangle,
-    enumerate_partitions,
-    enumerate_strict_partitions,
     from_columns,
+    partition_tuples,
+    strict_partition_tuples,
 )
 
 __all__ = [
@@ -50,6 +53,7 @@ __all__ = [
     "is_valid_split",
     "count_strict_by_parts_rank",
     "count_strict_by_parts_rank_formula",
+    "forget_rank_histograms",
 ]
 
 
@@ -288,10 +292,32 @@ def unsplit_strict(img: StaircaseSplit) -> StrictPartition:
     return from_columns(ColumnSequence(cols))
 
 
+# 4096 entries hold the whole (m, n) grid of any sweep up to
+# m_max * (n_max + 1) = 4096.
+@lru_cache(maxsize=4096)
+def _rank_histogram(m: int, n: int) -> MappingProxyType:
+    """BG-rank -> number of strict partitions of ``n`` with exactly ``m``
+    parts, by exhaustive enumeration."""
+    return MappingProxyType(Counter(bg_rank(t) for t in strict_partition_tuples(n, num_parts=m)))
+
+
 def count_strict_by_parts_rank(k: int, m: int, n: int) -> int:
     """Strict partitions of ``n`` with exactly ``m`` parts and BG-rank ``k``,
-    by exhaustive enumeration."""
-    return sum(1 for s in enumerate_strict_partitions(n, num_parts=m) if bg_rank(s) == k)
+    by exhaustive enumeration.
+
+    The BG-rank histogram of each (m, n) is kept in a per-process memo, so a
+    sweep over many ranks enumerates each (m, n) once.
+    """
+    return _rank_histogram(m, n).get(k, 0)
+
+
+def forget_rank_histograms() -> None:
+    """Empty the memo behind :func:`count_strict_by_parts_rank`.
+
+    A sweep calls this first, so that it enumerates every (m, n) it needs
+    and does the same work however many sweeps ran before it in the process.
+    """
+    _rank_histogram.cache_clear()
 
 
 def count_strict_by_parts_rank_formula(k: int, m: int, n: int) -> int:
@@ -317,5 +343,5 @@ def count_strict_by_parts_rank_formula(k: int, m: int, n: int) -> int:
     if m == height:
         if height == 0:
             return 1 if half == 0 else 0
-        return len(enumerate_partitions(half, max_part=height))
-    return len(enumerate_sequences(height, m - height, half))
+        return sum(1 for _ in partition_tuples(half, max_part=height))
+    return sum(1 for _ in sequence_tails(height, m - height, half))

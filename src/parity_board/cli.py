@@ -9,8 +9,10 @@ stays byte-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import sys
+from itertools import islice
 from typing import Callable, Iterable, Optional
 
 from . import tables, verify
@@ -102,13 +104,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Lines per write: the text is written as it is made, but one write call per
+# line costs several times the join it replaces.
+_CHUNK_LINES = 4096
+
+
 def _write(lines: Iterable[str], out: Optional[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = (line + "\n" for line in lines)
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        while chunk := "".join(islice(rows, _CHUNK_LINES)):
+            fh.write(chunk)
 
 
 def _params(args: argparse.Namespace) -> dict:

@@ -1,9 +1,13 @@
 """Integer partitions, strict partitions, and shifted-diagram statistics.
 
 Everything here is exact integer arithmetic on immutable values.  The
-enumerators are the brute-force oracles the verification sweeps lean on, so
-they favour an obvious recursive structure over speed; at the weights this
-package targets (well under 100) that is never a bottleneck.
+enumerators are the brute-force oracles the verification sweeps lean on, and
+at the larger sweep bounds they take most of the time, so they are lazy
+generators of part tuples with constant amortized work per partition.
+Callers that only count consume the tuples (``partition_tuples``,
+``strict_partition_tuples``); ``enumerate_*`` wraps the same tuples, in the
+same order, in validated objects.  The tests hold both generators to the
+plain recursive definitions they replace.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ __all__ = [
     "MalformedColumns",
     "enumerate_partitions",
     "enumerate_strict_partitions",
+    "partition_tuples",
+    "strict_partition_tuples",
     "partition_count",
     "bg_rank",
     "columns",
@@ -123,13 +129,70 @@ class DurfeeRect:
         return self.rows > 0
 
 
-def _descending(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+def _descending(n: int, max_part: int, unit: int = 1) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``n`` into multiples of ``unit`` at most ``max_part``,
+    reverse-lexicographic; ``n`` must be a multiple of ``unit``.
+
+    Algorithm ZS1 of Zoghbi and Stojmenovic (1998) with ``unit`` in place of
+    1, started at the first partition in that order, ``(k,) * q + (r,)`` with
+    k the largest allowed part.  ``x[:m]`` is the current partition, every
+    entry past index ``h`` equals ``unit``, and each step lowers ``x[h]`` by
+    one unit and refills greedily with parts no larger, so the work per
+    partition is constant amortized.
+    """
     if n == 0:
         yield ()
         return
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _descending(n - k, k):
-            yield (k,) + rest
+    k = min(n, max_part) // unit * unit
+    if k < 1:
+        return
+    q, r = divmod(n, k)
+    x = [k] * q + [unit] * (n // unit - q)
+    if r:
+        x[q] = r
+    m = q + (1 if r else 0)
+    h = q if r > unit else (q - 1 if k > unit else -1)
+    yield tuple(x[:m])
+    while h >= 0:
+        if x[h] == 2 * unit:
+            x[h] = unit
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - unit
+            t = (m - h) * unit
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > unit:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
+
+
+def partition_tuples(
+    n: int,
+    max_part: Optional[int] = None,
+    parts_filter: str = "any",
+) -> Iterator[tuple[int, ...]]:
+    """The part tuples of :func:`enumerate_partitions`, lazily and in the same
+    order, without building objects; the arguments are checked at the call."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if max_part is not None and max_part < 1:
+        raise ValueError("max_part must be positive")
+    if parts_filter not in ("any", "even-only"):
+        raise ValueError(f"unknown parts_filter {parts_filter!r}")
+    bound = n if max_part is None else max_part
+    if parts_filter == "any":
+        return _descending(n, bound)
+    return _descending(n, bound, unit=2) if n % 2 == 0 else iter(())
 
 
 def enumerate_partitions(
@@ -143,43 +206,72 @@ def enumerate_partitions(
     ``"even-only"`` (keep partitions all of whose parts are even).  The order
     is fixed so emitted tables are byte-stable.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if max_part is not None and max_part < 1:
-        raise ValueError("max_part must be positive")
-    if parts_filter == "even-only":
-        if n % 2:
-            return []
-        half = n // 2
-        bound = half if max_part is None else min(max_part // 2, half)
-        return [
-            Partition(tuple(2 * p for p in t)) for t in _descending(half, bound)
-        ]
-    if parts_filter != "any":
-        raise ValueError(f"unknown parts_filter {parts_filter!r}")
-    bound = n if max_part is None else min(max_part, n)
-    return [Partition(t) for t in _descending(n, bound)]
+    return [Partition(t) for t in partition_tuples(n, max_part, parts_filter)]
 
 
 def _strict_descending(
     n: int, max_part: int, num_parts: Optional[int]
 ) -> Iterator[tuple[int, ...]]:
+    """Strict partitions of ``n`` with parts at most ``max_part`` and, unless
+    ``num_parts`` is None, exactly that many parts; reverse-lexicographic.
+
+    Depth-first search on an explicit stack that enters only prefixes which
+    complete.  A part k followed by ``after`` more parts leaves n' = rest - k
+    to parts distinct and below k, so n' is at most k(k-1)/2, or
+    after*k - after(after+1)/2 with ``after`` fixed, and at least
+    after(after+1)/2.  The first candidate at each depth is the largest k
+    meeting the lower bound; the upper bound only tightens as k falls, so
+    the first candidate that misses it ends the depth.
+    """
     if n == 0:
         if num_parts in (None, 0):
             yield ()
         return
-    if num_parts == 0:
-        return
-    rest = None if num_parts is None else num_parts - 1
-    for k in range(min(n, max_part), 0, -1):
-        # distinct parts below k can carry at most k(k-1)/2 ...
-        if n - k > k * (k - 1) // 2:
-            continue
-        # ... and rest parts need at least 1+2+...+rest
-        if rest is not None and n - k < rest * (rest + 1) // 2:
-            continue
-        for tail in _strict_descending(n - k, k - 1, rest):
-            yield (k,) + tail
+    parts: list[int] = []
+    rest = n  # weight not yet placed
+    k = min(n, max_part)  # candidate for the next part
+    if num_parts is not None:
+        k = min(k, n - num_parts * (num_parts - 1) // 2)
+    while True:
+        if num_parts is None:
+            room = k * (k - 1) // 2
+        else:
+            after = num_parts - len(parts) - 1
+            room = after * k - after * (after + 1) // 2
+        if k >= 1 and rest - k <= room:
+            # place k, then descend greedily: every candidate on the way fits
+            while True:
+                parts.append(k)
+                rest -= k
+                if not rest:
+                    break
+                k -= 1
+                if num_parts is None:
+                    top = rest
+                else:
+                    after = num_parts - len(parts) - 1
+                    top = rest - after * (after + 1) // 2
+                if k > top:
+                    k = top
+            yield tuple(parts)
+        # lower the last placed part: after a yield to try the next candidate
+        # at its depth, after a miss because no smaller candidate fits either
+        if not parts:
+            return
+        k = parts.pop()
+        rest += k
+        k -= 1
+
+
+def strict_partition_tuples(n: int, num_parts: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The part tuples of :func:`enumerate_strict_partitions`, lazily and in
+    the same order, without building objects; the arguments are checked at
+    the call."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if num_parts is not None and num_parts < 0:
+        raise ValueError("num_parts must be nonnegative")
+    return _strict_descending(n, n, num_parts)
 
 
 def enumerate_strict_partitions(
@@ -187,11 +279,7 @@ def enumerate_strict_partitions(
 ) -> list[StrictPartition]:
     """All strict partitions of ``n`` (optionally with exactly ``num_parts``
     parts), reverse-lexicographic on part tuples."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if num_parts is not None and num_parts < 0:
-        raise ValueError("num_parts must be nonnegative")
-    return [StrictPartition(t) for t in _strict_descending(n, n, num_parts)]
+    return [StrictPartition(t) for t in strict_partition_tuples(n, num_parts)]
 
 
 _count_cache = [1]
@@ -225,13 +313,11 @@ def partition_count(n: int) -> int:
         return _count_cache[n]
 
 
-def bg_rank(p: Partition) -> int:
-    """Odd parts at odd (1-based) index minus odd parts at even index."""
-    r = 0
-    for i, part in enumerate(p.parts, start=1):
-        if part % 2:
-            r += 1 if i % 2 else -1
-    return r
+def bg_rank(p: Partition | tuple[int, ...]) -> int:
+    """Odd parts at odd (1-based) index minus odd parts at even index; ``p``
+    is a partition or its tuple of parts."""
+    parts = p.parts if isinstance(p, Partition) else p
+    return sum(x & 1 for x in parts[0::2]) - sum(x & 1 for x in parts[1::2])
 
 
 def columns(s: StrictPartition) -> ColumnSequence:

@@ -187,3 +187,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == TABLE1_N7
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_output_longer_than_one_write_is_whole(tmp_path, capsys, to_file):
+    from parity_board.partitions import enumerate_partitions
+
+    expected = "".join(f"{p}\n" for p in enumerate_partitions(30))  # 5604 lines
+    target = tmp_path / "rows.tsv"
+    argv = ["enumerate", "partitions", "--n", "30"] + (["--out", str(target)] if to_file else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (target.read_text(encoding="utf-8") if to_file else out) == expected

@@ -1,6 +1,17 @@
+import dataclasses
+import itertools
+
 import pytest
 
 from parity_board import verify
+from parity_board.bijections import (
+    StaircaseSplit,
+    count_strict_by_parts_rank_formula,
+    partition_from_sequence,
+    split_strict,
+)
+from parity_board.partitions import Partition, partition_tuples
+from parity_board.qseries import gf_coefficients, strict_count_by_rank
 from parity_board.verify import (
     CONGRUENCE_FAMILIES,
     Mismatch,
@@ -148,3 +159,58 @@ def test_worker_count_is_capped(monkeypatch, jobs, cpus, n_cells, workers):
     cells = list(range(n_cells))
     assert verify._run_cells(abs, cells, jobs) == cells
     assert _RecordingPool.max_workers == workers
+
+
+def test_vacuous_reports_say_so():
+    report = verify_bijection_phi(0, 0, 0)
+    assert report.vacuous
+    assert list(report.tsv_lines())[-1] == "vacuous\t1"
+    assert '"vacuous":true' in next(report.json_lines())
+    checked = verify_bijection_phi(0, 1, 1)
+    assert not checked.vacuous
+    assert not any(line.startswith("vacuous") for line in checked.tsv_lines())
+    assert "vacuous" not in next(checked.json_lines())
+
+
+def _off_by_one_entry(*bounds):
+    table = gf_coefficients(*bounds)
+    key = min(cell for cell in table.entries if cell != (0, 0, 0))
+    return dataclasses.replace(table, entries={**table.entries, key: table.entries[key] + 1})
+
+
+def _first_part_plus_one(a, seq):
+    parts = partition_from_sequence(a, seq).parts
+    return Partition((parts[0] + 1,) + parts[1:])
+
+
+def _staircase_one_higher(s):
+    img = split_strict(s)
+    k = img.height + 1
+    return StaircaseSplit(k * (k + 1) // 2, img.seq)
+
+
+def _drop_first_row(*args, **kwargs):
+    return itertools.islice(partition_tuples(*args, **kwargs), 1, None)
+
+
+# sweep at small bounds, and the closed form it guards broken by one
+FAULTS = [
+    (lambda: verify_bijection_phi(2, 3, 6), "partition_from_sequence", _first_part_plus_one),
+    (lambda: verify_gf(2, 4, 8), "gf_coefficients", _off_by_one_entry),
+    (lambda: verify_iota(10), "split_strict", _staircase_one_higher),
+    (
+        lambda: verify_theorem34(-2, 2, 5, 15),
+        "count_strict_by_parts_rank_formula",
+        lambda k, m, n: count_strict_by_parts_rank_formula(k, m, n) + 1,
+    ),
+    (lambda: verify_euler_vandervelde(12), "partition_tuples", _drop_first_row),
+    (lambda: verify_congruences(40), "strict_count_by_rank", lambda rank, n: strict_count_by_rank(rank, n) + 1),
+]
+
+
+@pytest.mark.parametrize("sweep, name, broken", FAULTS, ids=[f[1] for f in FAULTS])
+def test_every_sweep_fails_when_its_closed_form_is_off_by_one(monkeypatch, sweep, name, broken):
+    monkeypatch.setattr(verify, name, broken)
+    report = sweep()
+    assert report.mismatches
+    assert report.exit_code == 1
