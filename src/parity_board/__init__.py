@@ -51,10 +51,7 @@ from .partitions import (
 )
 from .qseries import (
     CoeffTable,
-    NonUnitConstantTerm,
-    TruncatedSeries,
     gf_coefficients,
-    pochhammer_q,
     strict_count_by_rank,
     strict_rank_gf,
 )

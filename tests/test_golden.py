@@ -1,11 +1,13 @@
-"""The README invocations against the golden outputs of the benchmark.
+"""The README invocations and the largest series table against the golden
+outputs of the benchmark.
 
 ``perfbench/golden.json`` holds, for each invocation of the benchmark, the
 stdout sha256 of a ``table`` or ``enumerate`` run and the ``checks`` count of
 a ``verify-*`` report.  This module runs the benchmark's ``pinned``
-invocations (the README command lines at their default bounds) in-process and
-holds them to the same rules as the benchmark gate, so a change of output is
-caught by the ordinary test run.
+invocations (the README command lines at their default bounds), and the
+``s-coeffs`` table of its ``emit`` workload, in-process and holds them to the
+same rules as the benchmark gate, so a change of output is caught by the
+ordinary test run.
 """
 
 import hashlib
@@ -20,17 +22,18 @@ from parity_board.cli import main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _pinned() -> tuple[tuple[str, ...], ...]:
+def _invocations() -> tuple[tuple[str, ...], ...]:
     spec = importlib.util.spec_from_file_location("_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return workloads.PINNED
+    s_coeffs = tuple(argv for argv in workloads.EMIT if argv[:2] == ("table", "s-coeffs"))
+    return workloads.PINNED + s_coeffs
 
 
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["invocations"]
 
 
-@pytest.mark.parametrize("argv", _pinned(), ids=" ".join)
+@pytest.mark.parametrize("argv", _invocations(), ids=" ".join)
 def test_pinned_invocation_matches_golden(capsys, argv):
     want = GOLDEN[" ".join(argv)]
     code = main(list(argv))

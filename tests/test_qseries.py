@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from parity_board.abseq import enumerate_sequences
@@ -8,72 +10,141 @@ from parity_board.partitions import (
 )
 from parity_board.qseries import (
     CoeffTable,
-    NonUnitConstantTerm,
-    TruncatedSeries,
+    _divide,
     gf_coefficients,
-    pochhammer_q,
     strict_count_by_rank,
     strict_rank_gf,
 )
 
 
+# The two generating functions expanded as products of truncated series, on
+# plain coefficient tuples: the reference the division kernel is held to.
+def _one(order):
+    return (1,) + (0,) * order
+
+
+def _monomial(order, power):
+    return tuple(int(i == power) for i in range(order + 1))
+
+
+def _sub(s, t):
+    return tuple(x - y for x, y in zip(s, t))
+
+
+def _mul(s, t):
+    out = [0] * len(s)
+    for i, x in enumerate(s):
+        if x:
+            for j in range(len(s) - i):
+                out[i + j] += x * t[j]
+    return tuple(out)
+
+
+def _reciprocal(s):
+    """Inverse of a series with constant term +1 or -1."""
+    c0 = s[0]
+    out = [c0] + [0] * (len(s) - 1)
+    for m in range(1, len(s)):
+        out[m] = -c0 * sum(s[k] * out[m - k] for k in range(1, m + 1))
+    return tuple(out)
+
+
+def _pochhammer(k, order):
+    """(1 - q)(1 - q^2) ... (1 - q^k), truncated."""
+    out = _one(order)
+    for i in range(1, min(k, order) + 1):
+        out = _mul(out, _sub(_one(order), _monomial(order, i)))
+    return out
+
+
+def _reference_entries(max_a, max_b, order):
+    entries = {(0, 0, 0): 1}
+    recip = {}
+
+    def recip_pochhammer(k):
+        if k not in recip:
+            recip[k] = _reciprocal(_pochhammer(k, order))
+        return recip[k]
+
+    def accumulate(a, b, series):
+        for n, coeff in enumerate(series):
+            if coeff:
+                entries[(a, b, n)] = entries.get((a, b, n), 0) + coeff
+
+    for a in range(max_a + 1):
+        h = 1
+        while h * (a + h) <= order and 2 * h - 1 <= max_b:
+            shared = _mul(recip_pochhammer(h), recip_pochhammer(a + h))
+            base = _monomial(order, h * (a + h))
+            odd = _mul(_mul(base, _sub(_one(order), _monomial(order, h))), shared)
+            accumulate(a, 2 * h - 1, odd)
+            if 2 * h <= max_b:
+                accumulate(a, 2 * h, _mul(_mul(base, _monomial(order, h)), shared))
+            h += 1
+    return entries
+
+
+def _reference_strict_rank_gf(rank, order):
+    shift = rank * (2 * rank - 1)
+    prod = _one(order)
+    for i in range(1, order // 2 + 1):
+        prod = _mul(prod, _sub(_one(order), _monomial(order, 2 * i)))
+    return _mul(_monomial(order, shift), _reciprocal(prod))
+
+
 class TestSeriesArithmetic:
+    """The reference's own arithmetic, on known small products."""
+
     def test_geometric(self):
-        one_minus_q = TruncatedSeries((1, -1, 0, 0))
-        assert one_minus_q.reciprocal().coeffs == (1, 1, 1, 1)
+        assert _reciprocal((1, -1, 0, 0)) == (1, 1, 1, 1)
 
     def test_product(self):
-        s = TruncatedSeries((1, -1, 0, 0))
-        t = TruncatedSeries((1, 1, 0, 0))
-        assert (s * t).coeffs == (1, 0, -1, 0)
-
-    def test_add_sub_neg(self):
-        s = TruncatedSeries((1, 2, 3))
-        t = TruncatedSeries((0, 1, -3))
-        assert (s + t).coeffs == (1, 3, 0)
-        assert (s - t).coeffs == (1, 1, 6)
-        assert (-s).coeffs == (-1, -2, -3)
-
-    def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries((1, 0)) + TruncatedSeries((1, 0, 0))
-
-    def test_reciprocal_requires_unit(self):
-        with pytest.raises(NonUnitConstantTerm):
-            TruncatedSeries((2, 0, 0)).reciprocal()
+        assert _mul((1, -1, 0, 0), (1, 1, 0, 0)) == (1, 0, -1, 0)
 
     def test_reciprocal_of_negative_unit(self):
-        s = TruncatedSeries((-1, 1, 0, 0, 0))
-        assert (s * s.reciprocal()).coeffs == (1, 0, 0, 0, 0)
+        s = (-1, 1, 0, 0, 0)
+        assert _mul(s, _reciprocal(s)) == (1, 0, 0, 0, 0)
 
     def test_reciprocal_inverts(self):
         for k in range(6):
-            p = pochhammer_q(k, 12)
-            assert (p * p.reciprocal()) == TruncatedSeries.one(12)
+            p = _pochhammer(k, 12)
+            assert _mul(p, _reciprocal(p)) == _one(12)
 
     def test_monomial_beyond_order_is_zero(self):
-        assert TruncatedSeries.monomial(3, 7).coeffs == (0, 0, 0, 0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries(())
+        assert _monomial(3, 7) == (0, 0, 0, 0)
 
 
 class TestPochhammer:
     def test_empty_product(self):
-        assert pochhammer_q(0, 4) == TruncatedSeries.one(4)
+        assert _pochhammer(0, 4) == _one(4)
 
     def test_first(self):
-        assert pochhammer_q(1, 3).coeffs == (1, -1, 0, 0)
+        assert _pochhammer(1, 3) == (1, -1, 0, 0)
 
     def test_second(self):
-        assert pochhammer_q(2, 3).coeffs == (1, -1, -1, 1)
+        assert _pochhammer(2, 3) == (1, -1, -1, 1)
 
     def test_reciprocal_counts_bounded_partitions(self):
         for k in range(1, 6):
-            inverse = pochhammer_q(k, 20).reciprocal()
+            inverse = _reciprocal(_pochhammer(k, 20))
             for n in range(21):
                 assert inverse[n] == len(enumerate_partitions(n, max_part=k))
+
+
+class TestDivide:
+    def test_counts_bounded_partitions(self):
+        c = [1] + [0] * 20
+        for k in range(1, 6):
+            _divide(c, k)
+            for n in range(21):
+                assert c[n] == len(enumerate_partitions(n, max_part=k))
+
+    def test_undoes_multiplication(self):
+        c = [3, 0, -2, 7, 1, 0, 5]
+        for e in range(1, 9):
+            product = [x - (c[n - e] if n >= e else 0) for n, x in enumerate(c)]
+            _divide(product, e)
+            assert product == c
 
 
 class TestCoefficientTable:
@@ -118,6 +189,12 @@ class TestCoefficientTable:
         with pytest.raises(IndexError):
             table.entry(0, 0, 4)
 
+    def test_matches_product_expansion(self):
+        for bounds in [(20, 40, 200), (6, 10, 25), (4, 8, 15)]:
+            assert gf_coefficients(*bounds).entries == _reference_entries(*bounds)
+        for bounds in itertools.product(range(6), range(10), range(21)):
+            assert gf_coefficients(*bounds).entries == _reference_entries(*bounds)
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             gf_coefficients(-1, 2, 3)
@@ -156,11 +233,18 @@ class TestStrictRankGf:
         assert strict_rank_gf(1, 8)[7] == 3
 
     def test_heavy_staircase_gives_zero_series(self):
-        assert strict_rank_gf(3, 8) == TruncatedSeries.zero(8)
-        assert strict_rank_gf(-3, 14) == TruncatedSeries.zero(14)
+        assert strict_rank_gf(3, 8) == (0,) * 9
+        assert strict_rank_gf(-3, 14) == (0,) * 15
 
     def test_coefficients_match_counts(self):
         for rank in range(-3, 4):
             series = strict_rank_gf(rank, 30)
             for n in range(31):
                 assert series[n] == strict_count_by_rank(rank, n)
+
+    def test_matches_product_expansion(self):
+        for rank in range(-5, 6):
+            series = strict_rank_gf(rank, 60)
+            assert series == _reference_strict_rank_gf(rank, 60)
+            for order in range(61):
+                assert strict_rank_gf(rank, order) == series[: order + 1]

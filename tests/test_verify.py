@@ -193,22 +193,37 @@ def _drop_first_row(*args, **kwargs):
     return itertools.islice(partition_tuples(*args, **kwargs), 1, None)
 
 
-# sweep at small bounds, and the closed form it guards broken by one
-FAULTS = [
-    (lambda: verify_bijection_phi(2, 3, 6), "partition_from_sequence", _first_part_plus_one),
-    (lambda: verify_gf(2, 4, 8), "gf_coefficients", _off_by_one_entry),
-    (lambda: verify_iota(10), "split_strict", _staircase_one_higher),
-    (
+def _all_ones(a, seq):
+    return Partition((1,) * partition_from_sequence(a, seq).weight)
+
+
+# id -> (sweep at small bounds, the name it calls, that function broken).
+# Each break is off by one, except the all-ones image: it lies outside the
+# Durfee class, so the sweep must report it without attempting the round trip.
+FAULTS = {
+    "partition_from_sequence": (
+        lambda: verify_bijection_phi(2, 3, 6), "partition_from_sequence", _first_part_plus_one
+    ),
+    "gf_coefficients": (lambda: verify_gf(2, 4, 8), "gf_coefficients", _off_by_one_entry),
+    "split_strict": (lambda: verify_iota(10), "split_strict", _staircase_one_higher),
+    "count_strict_by_parts_rank_formula": (
         lambda: verify_theorem34(-2, 2, 5, 15),
         "count_strict_by_parts_rank_formula",
         lambda k, m, n: count_strict_by_parts_rank_formula(k, m, n) + 1,
     ),
-    (lambda: verify_euler_vandervelde(12), "partition_tuples", _drop_first_row),
-    (lambda: verify_congruences(40), "strict_count_by_rank", lambda rank, n: strict_count_by_rank(rank, n) + 1),
-]
+    "partition_tuples": (lambda: verify_euler_vandervelde(12), "partition_tuples", _drop_first_row),
+    "strict_count_by_rank": (
+        lambda: verify_congruences(40),
+        "strict_count_by_rank",
+        lambda rank, n: strict_count_by_rank(rank, n) + 1,
+    ),
+    "partition_from_sequence-outside-class": (
+        lambda: verify_bijection_phi(2, 2, 4), "partition_from_sequence", _all_ones
+    ),
+}
 
 
-@pytest.mark.parametrize("sweep, name, broken", FAULTS, ids=[f[1] for f in FAULTS])
+@pytest.mark.parametrize("sweep, name, broken", FAULTS.values(), ids=FAULTS.keys())
 def test_every_sweep_fails_when_its_closed_form_is_off_by_one(monkeypatch, sweep, name, broken):
     monkeypatch.setattr(verify, name, broken)
     report = sweep()
