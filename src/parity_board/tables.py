@@ -12,11 +12,9 @@ from typing import Callable, Iterable, Iterator, Optional
 from .abseq import enumerate_sequences
 from .bijections import split_strict
 from .partitions import (
-    Partition,
-    StrictPartition,
+    enumerate_partitions,
+    enumerate_strict_partitions,
     partition_count,
-    partition_tuples,
-    strict_partition_tuples,
 )
 from .qseries import gf_coefficients
 from .verify import canonical_json, theorem34_counts, theorem34_grid
@@ -65,8 +63,7 @@ def emit_table(kind: str, fmt: str = "tsv", **params: Optional[int]) -> Iterator
     of ``verify_theorem34``.
     """
     if kind == "table1":
-        stricts = map(StrictPartition, strict_partition_tuples(params["n"]))
-        rows = ((s, split_strict(s)) for s in stricts)
+        rows = ((s, split_strict(s)) for s in enumerate_strict_partitions(params["n"]))
         return _emit(
             rows,
             fmt,
@@ -80,7 +77,7 @@ def emit_table(kind: str, fmt: str = "tsv", **params: Optional[int]) -> Iterator
         )
     if kind == "counts":
         rows = (
-            (m, partition_count(m), sum(1 for _ in strict_partition_tuples(m)))
+            (m, partition_count(m), len(enumerate_strict_partitions(m)))
             for m in range(params["n"] + 1)
         )
         return _emit(rows, fmt, _tab, _fields("counts", "n", "partitions", "strict"))
@@ -98,13 +95,12 @@ def emit_table(kind: str, fmt: str = "tsv", **params: Optional[int]) -> Iterator
 def emit_partitions(
     n: int, max_part: Optional[int], parts_filter: str, fmt: str
 ) -> Iterator[str]:
-    rows = map(Partition, partition_tuples(n, max_part, parts_filter))
+    rows = enumerate_partitions(n, max_part=max_part, parts_filter=parts_filter)
     return _emit(rows, fmt, str, _parts_record)
 
 
 def emit_strict_partitions(n: int, num_parts: Optional[int], fmt: str) -> Iterator[str]:
-    rows = map(StrictPartition, strict_partition_tuples(n, num_parts))
-    return _emit(rows, fmt, str, _parts_record)
+    return _emit(enumerate_strict_partitions(n, num_parts=num_parts), fmt, str, _parts_record)
 
 
 def emit_sequences(a: int, b: int, half_weight: int, fmt: str) -> Iterator[str]:

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from parity_board import tables
 from parity_board.cli import main
 from parity_board.qseries import gf_coefficients
 
@@ -200,10 +199,3 @@ def test_output_longer_than_one_write_is_whole(tmp_path, capsys, to_file):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert (target.read_text(encoding="utf-8") if to_file else out) == expected
-
-
-def test_emitters_stream():
-    # far beyond any weight that could be listed: only the first row is made
-    assert next(tables.emit_partitions(100, None, "any", "tsv")) == "100"
-    assert next(tables.emit_strict_partitions(400, None, "json-lines")) == '{"parts":[400],"weight":400}'
-    assert next(tables.emit_table("table1", n=400)) == "400\t(0,{" + ",".join("1" * 400) + "})"
