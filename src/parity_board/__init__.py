@@ -41,6 +41,7 @@ from .partitions import (
     StrictPartition,
     bg_rank,
     columns,
+    conjugate,
     durfee_rectangle,
     enumerate_partitions,
     enumerate_strict_partitions,

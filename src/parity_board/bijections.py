@@ -23,6 +23,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import zip_longest
+from operator import add
 from types import MappingProxyType
 
 from .abseq import ABSequence, InvalidABSequence, alternating_sum, sequence_tails
@@ -32,6 +34,7 @@ from .partitions import (
     StrictPartition,
     bg_rank,
     columns,
+    conjugate,
     durfee_rectangle,
     from_columns,
     partition_tuples,
@@ -86,19 +89,18 @@ def _pass_cells(d: ABSequence) -> list[int]:
 def partition_from_sequence(a: int, d: ABSequence) -> Partition:
     """Map a sequence with offset ``a`` to the partition it double-covers.
 
-    Row j of the result is the row block's cells plus one cell for every
-    column block reaching down to row j.  The weight is exactly half the
-    sequence weight.
+    Row j of the result is the row block's cells plus the conjugate of the
+    column blocks at j: one cell for every column block reaching row j.  The
+    weight is exactly half the sequence weight.
     """
     if d.is_empty:
         raise InvalidSequence("the empty sequence covers no board")
     if d.a != a:
         raise InvalidSequence(f"sequence has offset {d.a}, expected {a}")
     cells = _pass_cells(d)
-    col_heights = cells[1::2]
-    parts = []
-    for j in range(1, (len(cells) + 1) // 2 + 1):
-        parts.append(cells[2 * j - 2] + sum(1 for h in col_heights if h >= j))
+    rows = cells[0::2]
+    reach = conjugate(cells[1::2]) + (0,) * len(rows)
+    parts = [row + h for row, h in zip(rows, reach)]
     while parts and parts[-1] == 0:
         parts.pop()
     return Partition(tuple(parts))
@@ -168,30 +170,22 @@ def sequence_from_partition(a: int, p: Partition) -> ABSequence:
     """Inverse of :func:`partition_from_sequence`.
 
     Lays the diagram of ``p`` over the board (top-left corners aligned),
-    counts the cells confined to each block, and rebuilds the entries as
-    d_1 = c_1, d_i = c_{i-1} + c_i up to one block past the last nonempty
-    one.  Requires the largest part to exceed ``a``.
+    counts the cells confined to each block (the column blocks through the
+    conjugate of ``p``), and rebuilds the entries as d_1 = c_1,
+    d_i = c_{i-1} + c_i up to one block past the last nonempty one.
+    Requires the largest part to exceed ``a``.
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
     if not p.parts or p.parts[0] <= a:
         raise NotInDurfeeClass(f"largest part must exceed {a}")
-    num_rows = len(p.parts)
-    width = p.parts[0]
-    max_block = max(2 * num_rows - 1, 2 * (width - a - 1))
-    confined = []
-    for i in range(1, max_block + 1):
-        if i % 2:
-            j = (i + 1) // 2
-            confined.append(min(p.part(j), a + j))
-        else:
-            half = i // 2
-            col = a + half + 1
-            confined.append(sum(1 for row in range(1, half + 1) if p.part(row) >= col))
-    confined.append(0)
-    last = max(i for i, c in enumerate(confined, start=1) if c > 0)
-    entries = [confined[0]]
-    entries.extend(confined[i - 1] + confined[i] for i in range(1, last + 1))
+    conj = conjugate(p.parts)
+    rows = [min(part, a + j) for j, part in enumerate(p.parts, start=1)]
+    cols = [min(h, conj[a + h]) for h in range(1, len(conj) - a)]
+    cells = [c for pair in zip_longest(rows, cols, fillvalue=0) for c in pair]
+    # Every row block and every column block left of the last column is nonempty, so
+    # the sums c_{i-1} + c_i are positive to one block past the last and zero after.
+    entries = [e for e in map(add, [0, *cells], [*cells, 0]) if e]
     try:
         seq = ABSequence(tuple(entries))
     except InvalidABSequence as exc:

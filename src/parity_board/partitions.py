@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 __all__ = [
     "Partition",
@@ -28,6 +28,7 @@ __all__ = [
     "strict_partition_tuples",
     "partition_count",
     "bg_rank",
+    "conjugate",
     "columns",
     "from_columns",
     "durfee_rectangle",
@@ -320,37 +321,40 @@ def bg_rank(p: Partition | tuple[int, ...]) -> int:
     return sum(x & 1 for x in parts[0::2]) - sum(x & 1 for x in parts[1::2])
 
 
+def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
+    """For j = 1 .. max(parts), how many of ``parts`` are at least j: the
+    conjugate of a partition.  The parts may come in any order, and a part
+    below 1 reaches no column; a tally of where each part ends and a suffix
+    sum make it O(len(parts) + max(parts))."""
+    ends = [0] * max(parts, default=0)
+    for part in parts:
+        if part > 0:
+            ends[part - 1] += 1
+    for j in reversed(range(len(ends) - 1)):
+        ends[j] += ends[j + 1]
+    return tuple(ends)
+
+
 def columns(s: StrictPartition) -> ColumnSequence:
     """Column heights of the shifted diagram of ``s``.
 
     Row i of the shifted diagram is indented i-1 cells, so it occupies
-    columns i through i + part - 1; column j then collects every row
-    straddling it.
+    columns i through part_i + i - 1.  Those ends weakly decrease, so
+    column j holds rows 1 .. min(j, the j-th entry of conjugate(ends)).
     """
-    width = s.parts[0] if s.parts else 0
-    heights = []
-    for j in range(1, width + 1):
-        h = 0
-        for i, part in enumerate(s.parts, start=1):
-            if i <= j <= i + part - 1:
-                h += 1
-        heights.append(h)
-    return ColumnSequence(tuple(heights))
+    reach = conjugate([part + i for i, part in enumerate(s.parts)])
+    # from a list: a tuple made from an iterator is over-allocated, and the sweeps keep many
+    return ColumnSequence(tuple([min(j, r) for j, r in enumerate(reach, start=1)]))
 
 
 def from_columns(c: ColumnSequence) -> StrictPartition:
     """The unique strict partition whose shifted diagram has profile ``c``.
 
-    Row i of the rebuilt diagram covers column j exactly when j >= i and
-    the column is at least i cells tall; counting those columns recovers
-    the part.  Round-trips with :func:`columns`.
+    Staircase columns j < i are too short for row i, and no later column
+    outgrows the staircase, so the parts are the conjugate of the profile.
+    Round-trips with :func:`columns`.
     """
-    m = c.staircase_height
-    parts = tuple(
-        sum(1 for j in range(i - 1, len(c.cols)) if c.cols[j] >= i)
-        for i in range(1, m + 1)
-    )
-    return StrictPartition(parts)
+    return StrictPartition(conjugate(c.cols))
 
 
 def durfee_rectangle(p: Partition, a: int) -> DurfeeRect:

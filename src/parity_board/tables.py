@@ -15,6 +15,7 @@ from .partitions import (
     enumerate_partitions,
     enumerate_strict_partitions,
     partition_count,
+    strict_partition_tuples,
 )
 from .qseries import gf_coefficients
 from .verify import canonical_json, theorem34_counts, theorem34_grid
@@ -34,7 +35,7 @@ TABLE_KINDS = ("table1", "s-coeffs", "theorem34", "counts")
 
 def _emit(rows: Iterable, fmt: str, tsv: Callable[..., str], record: Callable[..., dict]) -> Iterator[str]:
     """Format each row as the TSV line ``tsv(row)`` or the JSON record
-    ``record(row)``; the only place that branches on the format."""
+    ``record(row)``, for every table and enumeration (``cli._run_verify`` formats reports)."""
     if fmt == "tsv":
         return map(tsv, rows)
     if fmt == "json-lines":
@@ -77,7 +78,7 @@ def emit_table(kind: str, fmt: str = "tsv", **params: Optional[int]) -> Iterator
         )
     if kind == "counts":
         rows = (
-            (m, partition_count(m), len(enumerate_strict_partitions(m)))
+            (m, partition_count(m), sum(1 for _ in strict_partition_tuples(m)))
             for m in range(params["n"] + 1)
         )
         return _emit(rows, fmt, _tab, _fields("counts", "n", "partitions", "strict"))

@@ -1,12 +1,13 @@
-"""The README invocations and the largest series table against the golden
-outputs of the benchmark.
+"""The README invocations and a few larger ones against the golden outputs of
+the benchmark.
 
 ``perfbench/golden.json`` holds, for each invocation of the benchmark, the
 stdout sha256 of a ``table`` or ``enumerate`` run and the ``checks`` count of
 a ``verify-*`` report.  This module runs the benchmark's ``pinned``
-invocations (the README command lines at their default bounds), and the
-``s-coeffs`` table of its ``emit`` workload, in-process and holds them to the
-same rules as the benchmark gate, so a change of output is caught by the
+invocations (the README command lines at their default bounds), the
+``s-coeffs`` and ``table1`` tables of its ``emit`` workload, and its
+``reach-tier`` phi and iota sweeps, in-process and holds them to the same
+rules as the benchmark gate, so a change of output is caught by the
 ordinary test run.
 """
 
@@ -22,12 +23,20 @@ from parity_board.cli import main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+# The larger invocations that also run here: the series kernel at its largest,
+# and the diagram maps (``columns``, ``from_columns``, phi and its inverse) at
+# the sizes the benchmark runs them.
+_EMIT_TABLES = (("table", "s-coeffs"), ("table", "table1"))
+_REACH_SWEEPS = ("verify-phi", "verify-iota")
+
+
 def _invocations() -> tuple[tuple[str, ...], ...]:
     spec = importlib.util.spec_from_file_location("_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    s_coeffs = tuple(argv for argv in workloads.EMIT if argv[:2] == ("table", "s-coeffs"))
-    return workloads.PINNED + s_coeffs
+    emit = tuple(argv for argv in workloads.EMIT if argv[:2] in _EMIT_TABLES)
+    reach = tuple(argv for argv in workloads.REACH_TIER if argv[0] in _REACH_SWEEPS)
+    return workloads.PINNED + emit + reach
 
 
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))["invocations"]

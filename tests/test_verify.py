@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from parity_board import verify
+from parity_board import bijections, partitions, verify
 from parity_board.bijections import (
     StaircaseSplit,
     count_strict_by_parts_rank_formula,
@@ -229,3 +229,19 @@ def test_every_sweep_fails_when_its_closed_form_is_off_by_one(monkeypatch, sweep
     report = sweep()
     assert report.mismatches
     assert report.exit_code == 1
+
+
+def test_iota_fails_when_conjugate_drops_its_last_entry(monkeypatch):
+    """``conjugate`` sits below the maps the sweeps call, in two modules, so
+    the fault is planted where the maps look it up rather than in ``verify``."""
+    conjugate = partitions.conjugate
+
+    def broken(parts):
+        return conjugate(parts)[:-1]
+
+    monkeypatch.setattr(partitions, "conjugate", broken)
+    monkeypatch.setattr(bijections, "conjugate", broken)
+    report = verify_iota(10)
+    assert report.mismatches
+    assert report.exit_code == 1
+    assert {m.law for m in report.mismatches} == {"weight-additivity", "round-trip", "completeness"}
