@@ -25,7 +25,7 @@ from .bijections import (
     StaircaseSplit,
     count_strict_by_parts_rank,
     count_strict_by_parts_rank_formula,
-    in_durfee_class,
+    durfee_class,
     is_valid_split,
     partition_from_sequence,
     partition_from_sequence_by_filling,
@@ -35,14 +35,12 @@ from .bijections import (
 )
 from .partitions import (
     ColumnSequence,
-    DurfeeRect,
     MalformedColumns,
     Partition,
     StrictPartition,
     bg_rank,
     columns,
     conjugate,
-    durfee_rectangle,
     enumerate_partitions,
     enumerate_strict_partitions,
     from_columns,

@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import zip_longest
 from operator import add
-from types import MappingProxyType
+from typing import Sequence
 
 from .abseq import ABSequence, InvalidABSequence, alternating_sum, sequence_tails
 from .partitions import (
@@ -35,9 +34,9 @@ from .partitions import (
     bg_rank,
     columns,
     conjugate,
-    durfee_rectangle,
     from_columns,
     partition_tuples,
+    rank_staircase,
     strict_partition_tuples,
 )
 
@@ -50,13 +49,13 @@ __all__ = [
     "partition_from_sequence",
     "partition_from_sequence_by_filling",
     "sequence_from_partition",
-    "in_durfee_class",
+    "durfee_class",
     "split_strict",
     "unsplit_strict",
     "is_valid_split",
+    "rank_histogram",
     "count_strict_by_parts_rank",
     "count_strict_by_parts_rank_formula",
-    "forget_rank_histograms",
 ]
 
 
@@ -195,23 +194,22 @@ def sequence_from_partition(a: int, p: Partition) -> ABSequence:
     return seq
 
 
-def in_durfee_class(p: Partition, a: int, b: int) -> bool:
-    """Membership in the image class indexed by (a, b).
+def durfee_class(parts: Sequence[int], a: int) -> int:
+    """The b of the one class, indexed by (a, b), that the partition with these
+    parts lies in, or 0 when its largest part is at most ``a``.
 
-    The class fixes the a-Durfee rectangle at ceil(b/2) rows and adds a
-    parity side condition on the row at that depth: for even b the row must
-    strictly exceed a + b/2, for odd b it must equal a + (b+1)/2.
+    With r the rows of the a-Durfee rectangle (the i with part_i >= a + i),
+    the class is b = 2r - 1 when part r equals a + r, and b = 2r when it is
+    longer.
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
-    if b < 1:
-        raise ValueError("b must be positive")
-    depth = (b + 1) // 2
-    if durfee_rectangle(p, a).rows != depth:
-        return False
-    if b % 2 == 0:
-        return p.part(depth) > a + depth
-    return p.part(depth) == a + depth
+    r = 0
+    while r < len(parts) and parts[r] > a + r:
+        r += 1
+    if not r:
+        return 0
+    return 2 * r - 1 if parts[r - 1] == a + r else 2 * r
 
 
 @dataclass(frozen=True)
@@ -286,51 +284,36 @@ def unsplit_strict(img: StaircaseSplit) -> StrictPartition:
     return from_columns(ColumnSequence(cols))
 
 
-# 4096 entries hold the whole (m, n) grid of any sweep up to
-# m_max * (n_max + 1) = 4096.
-@lru_cache(maxsize=4096)
-def _rank_histogram(m: int, n: int) -> MappingProxyType:
+def rank_histogram(m: int, n: int) -> Counter:
     """BG-rank -> number of strict partitions of ``n`` with exactly ``m``
     parts, by exhaustive enumeration."""
-    return MappingProxyType(Counter(bg_rank(t) for t in strict_partition_tuples(n, num_parts=m)))
+    return Counter(bg_rank(t) for t in strict_partition_tuples(n, num_parts=m))
 
 
 def count_strict_by_parts_rank(k: int, m: int, n: int) -> int:
     """Strict partitions of ``n`` with exactly ``m`` parts and BG-rank ``k``,
-    by exhaustive enumeration.
-
-    The BG-rank histogram of each (m, n) is kept in a per-process memo, so a
-    sweep over many ranks enumerates each (m, n) once.
-    """
-    return _rank_histogram(m, n).get(k, 0)
-
-
-def forget_rank_histograms() -> None:
-    """Empty the memo behind :func:`count_strict_by_parts_rank`.
-
-    A sweep calls this first, so that it enumerates every (m, n) it needs
-    and does the same work however many sweeps ran before it in the process.
-    """
-    _rank_histogram.cache_clear()
+    by exhaustive enumeration.  A sweep over many ranks reads
+    :func:`rank_histogram` once per (m, n) instead."""
+    return rank_histogram(m, n)[k]
 
 
 def count_strict_by_parts_rank_formula(k: int, m: int, n: int) -> int:
     """Closed-form counterpart of :func:`count_strict_by_parts_rank`.
 
-    A strict partition with BG-rank k splits off a staircase of height
-    2k-1 (k > 0) or -2k (k <= 0), weight k(2k-1).  When m exceeds that
-    height the leftovers form a sequence family cell; when m equals it they
-    pair up, giving partitions of half the leftover weight with bounded
-    largest part.  Out-of-range (k, m, n) combinations count zero.
+    A strict partition with BG-rank k splits off the staircase of
+    :func:`rank_staircase`.  When m exceeds its height the leftovers form a
+    sequence family cell; when m equals it they pair up, giving partitions
+    of half the leftover weight with bounded largest part.  Out-of-range
+    (k, m, n) combinations count zero.
     """
     if m < 0:
         return 0
-    height = 2 * k - 1 if k > 0 else -2 * k
+    height, weight = rank_staircase(k)
     if m < height:
         return 0
     if n < m * (m + 1) // 2:
         return 0
-    leftover = n - k * (2 * k - 1)
+    leftover = n - weight
     if leftover < 0 or leftover % 2:
         return 0
     half = leftover // 2

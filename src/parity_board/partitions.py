@@ -20,7 +20,6 @@ __all__ = [
     "Partition",
     "StrictPartition",
     "ColumnSequence",
-    "DurfeeRect",
     "MalformedColumns",
     "enumerate_partitions",
     "enumerate_strict_partitions",
@@ -28,10 +27,10 @@ __all__ = [
     "strict_partition_tuples",
     "partition_count",
     "bg_rank",
+    "rank_staircase",
     "conjugate",
     "columns",
     "from_columns",
-    "durfee_rectangle",
 ]
 
 
@@ -116,18 +115,6 @@ class ColumnSequence:
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.cols)) + "}"
-
-
-@dataclass(frozen=True)
-class DurfeeRect:
-    """An i x (i+a) rectangle; rows == 0 encodes that none fits."""
-
-    rows: int
-    cols: int
-
-    @property
-    def present(self) -> bool:
-        return self.rows > 0
 
 
 def _descending(n: int, max_part: int, unit: int = 1) -> Iterator[tuple[int, ...]]:
@@ -321,6 +308,14 @@ def bg_rank(p: Partition | tuple[int, ...]) -> int:
     return sum(x & 1 for x in parts[0::2]) - sum(x & 1 for x in parts[1::2])
 
 
+def rank_staircase(rank: int) -> tuple[int, int]:
+    """Height and weight of the staircase that a strict partition of BG-rank
+    ``rank`` splits off: 2*rank - 1 rows for a positive rank, -2*rank
+    otherwise, weighing the triangular number of the height, rank*(2*rank - 1)."""
+    height = 2 * rank - 1 if rank > 0 else -2 * rank
+    return height, height * (height + 1) // 2
+
+
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
     """For j = 1 .. max(parts), how many of ``parts`` are at least j: the
     conjugate of a partition.  The parts may come in any order, and a part
@@ -355,19 +350,3 @@ def from_columns(c: ColumnSequence) -> StrictPartition:
     Round-trips with :func:`columns`.
     """
     return StrictPartition(conjugate(c.cols))
-
-
-def durfee_rectangle(p: Partition, a: int) -> DurfeeRect:
-    """Largest i x (i+a) rectangle inside the diagram of ``p``.
-
-    ``rows == 0`` (with ``cols == a``) means no such rectangle fits, which
-    happens exactly when the largest part is at most ``a``.
-    """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    rows = 0
-    for i, part in enumerate(p.parts, start=1):
-        if part < i + a:
-            break
-        rows = i
-    return DurfeeRect(rows, rows + a if rows else a)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import partition_count
+from .partitions import partition_count, rank_staircase
 
 __all__ = [
     "CoeffTable",
@@ -89,11 +89,11 @@ def gf_coefficients(max_a: int, max_b: int, trunc_order: int) -> CoeffTable:
 def strict_count_by_rank(rank: int, n: int) -> int:
     """Strict partitions of ``n`` with the given BG-rank, in closed form.
 
-    The staircase carrying the rank weighs rank*(2*rank - 1); what remains
+    What remains past the staircase carrying the rank (:func:`rank_staircase`)
     must split evenly into an even-part partition, counted by the ordinary
     partition function at half the leftover weight.
     """
-    leftover = n - rank * (2 * rank - 1)
+    leftover = n - rank_staircase(rank)[1]
     if leftover < 0 or leftover % 2:
         return 0
     return partition_count(leftover // 2)
@@ -102,13 +102,13 @@ def strict_count_by_rank(rank: int, n: int) -> int:
 def strict_rank_gf(rank: int, trunc_order: int) -> tuple[int, ...]:
     """Weight generating function for strict partitions of a fixed BG-rank.
 
-    The coefficients of q^0 .. q^trunc_order of q^(rank*(2*rank - 1)) over
-    the product of (1 - q^(2i)); factors with 2i beyond the truncation order
-    cannot contribute and are left out.  All zero when the staircase alone
-    exceeds the order.
+    The coefficients of q^0 .. q^trunc_order of q^w over the product of
+    (1 - q^(2i)), w the weight of the rank's staircase; factors with 2i
+    beyond the truncation order cannot contribute and are left out.  All
+    zero when the staircase alone exceeds the order.
     """
     c = [0] * (trunc_order + 1)
-    shift = rank * (2 * rank - 1)
+    shift = rank_staircase(rank)[1]
     if shift <= trunc_order:
         c[shift] = 1
         for i in range(1, trunc_order // 2 + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .abseq import enumerate_sequences
-from .bijections import split_strict
+from .bijections import count_strict_by_parts_rank_formula, split_strict
 from .partitions import (
     enumerate_partitions,
     enumerate_strict_partitions,
@@ -18,7 +18,7 @@ from .partitions import (
     strict_partition_tuples,
 )
 from .qseries import gf_coefficients
-from .verify import canonical_json, theorem34_counts, theorem34_grid
+from .verify import canonical_json, theorem34_cells
 
 __all__ = [
     "FORMATS",
@@ -87,8 +87,8 @@ def emit_table(kind: str, fmt: str = "tsv", **params: Optional[int]) -> Iterator
         rows = (cell + (value,) for cell, value in table.cells() if value)
         return _emit(rows, fmt, _tab, _fields("s-coeffs", "a", "b", "n", "count"))
     if kind == "theorem34":
-        grid = theorem34_grid(params["k_min"], params["k_max"], params["m_max"], params["n_max"])
-        rows = (cell + theorem34_counts(*cell) for cell in grid)
+        cells = theorem34_cells(params["k_min"], params["k_max"], params["m_max"], params["n_max"])
+        rows = (cell + (count_strict_by_parts_rank_formula(*cell[:3]),) for cell in cells)
         return _emit(rows, fmt, _tab, _fields("theorem34", "k", "m", "n", "count", "formula"))
     raise ValueError(f"unknown table kind {kind!r}")
 

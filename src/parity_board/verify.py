@@ -12,19 +12,19 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .abseq import EMPTY_SEQUENCE, enumerate_sequences, sequence_tails
+from .abseq import ABSequence, EMPTY_SEQUENCE, enumerate_sequences, sequence_tails
 from .bijections import (
-    count_strict_by_parts_rank,
     count_strict_by_parts_rank_formula,
-    forget_rank_histograms,
-    in_durfee_class,
+    durfee_class,
     is_valid_split,
     partition_from_sequence,
     partition_from_sequence_by_filling,
+    rank_histogram,
     sequence_from_partition,
     split_strict,
     StaircaseSplit,
@@ -32,9 +32,9 @@ from .bijections import (
 )
 from .partitions import (
     bg_rank,
-    enumerate_partitions,
     enumerate_strict_partitions,
     partition_tuples,
+    rank_staircase,
     strict_partition_tuples,
 )
 from .qseries import gf_coefficients, strict_count_by_rank
@@ -166,28 +166,46 @@ def _sweep(
     return VerificationReport(subject, params, checks, mismatches, skipped, time.perf_counter() - t0)
 
 
-def _phi_cell(cell: tuple[int, int, int]) -> CellResult:
-    a, b, n = cell
+def _outcome(fn: Callable, *args):
+    """``fn(*args)``, or the exception it raised, which equals no result: a
+    broken map fails the checks that need its result, it never stops a sweep."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _shown(outcome) -> str:
+    """An outcome as a mismatch shows it; an exception by its type and message."""
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}"
+    return str(outcome)
+
+
+def _phi_cell(cell: tuple[int, int, int, int]) -> CellResult:
+    a, b, n, members = cell
     checks = 0
     bad: list[Mismatch] = []
     seqs = enumerate_sequences(a, b, n)
     for seq in seqs:
         where = {"a": a, "b": b, "n": n, "seq": str(seq)}
-        lam = partition_from_sequence(a, seq)
         checks += 4
+        lam = _outcome(partition_from_sequence, a, seq)
+        if isinstance(lam, Exception):
+            bad.append(Mismatch("halved-weight", where, str(n), _shown(lam)))
+            continue
         if lam.weight != n:
             bad.append(Mismatch("halved-weight", where, str(n), str(lam.weight)))
-        if not in_durfee_class(lam, a, b):
+        if durfee_class(lam.parts, a) != b:
             # sequence_from_partition may refuse such a partition, so there is no round trip to check
             bad.append(Mismatch("class-membership", where, "member", f"{lam} outside class"))
         else:
-            back = sequence_from_partition(a, lam)
+            back = _outcome(sequence_from_partition, a, lam)
             if back != seq:
-                bad.append(Mismatch("round-trip", where, str(seq), str(back)))
-        filled = partition_from_sequence_by_filling(a, seq)
+                bad.append(Mismatch("round-trip", where, str(seq), _shown(back)))
+        filled = _outcome(partition_from_sequence_by_filling, a, seq)
         if filled != lam:
-            bad.append(Mismatch("board-oracle", where, str(lam), str(filled)))
-    members = sum(1 for p in enumerate_partitions(n) if in_durfee_class(p, a, b))
+            bad.append(Mismatch("board-oracle", where, str(lam), _shown(filled)))
     checks += 1
     if members != len(seqs):
         bad.append(
@@ -201,10 +219,18 @@ def verify_bijection_phi(a_max: int = 3, b_max: int = 4, n_max: int = 12, jobs: 
 
     On every (a, b, half-weight) cell: round trip, halved weight, class
     membership, agreement with the literal board filling, and equality of
-    the two cardinalities.
+    the two cardinalities.  The class members are counted in one pass over
+    the partitions of each n, keyed by :func:`durfee_class`, and each cell
+    carries its count.
     """
+    members = Counter(
+        (a, durfee_class(t, a), n)
+        for n in range(n_max + 1)
+        for t in partition_tuples(n)
+        for a in range(a_max + 1)
+    )
     cells = [
-        (a, b, n)
+        (a, b, n, members[a, b, n])
         for a in range(a_max + 1)
         for b in range(1, b_max + 1)
         for n in range(n_max + 1)
@@ -240,25 +266,28 @@ def verify_gf(a_max: int = 4, b_max: int = 8, trunc: int = 15, jobs: int = 1) ->
 
 
 def _admissible_splits(n: int) -> list[StaircaseSplit]:
-    """Every pair (triangular, sequence) of total weight n passing the image
-    characterization, in deterministic order."""
+    """Every pair (triangular, sequence) of total weight n that
+    :func:`is_valid_split` accepts, in deterministic order.
+
+    The test reads only the staircase height and the sequence's (a, b), so
+    each (height, a, b) cell is taken or left whole by its first sequence.
+    """
     out: list[StaircaseSplit] = []
     k = 0
     while k * (k + 1) // 2 <= n:
         t = k * (k + 1) // 2
-        w = n - t
-        if w == 0:
+        half, odd = divmod(n - t, 2)
+        if half == odd == 0 and is_valid_split(StaircaseSplit(t, EMPTY_SEQUENCE)):
             out.append(StaircaseSplit(t, EMPTY_SEQUENCE))
-        elif w % 2 == 0:
-            half = w // 2
+        # a nonempty sequence has a + 1 <= half and its staircase weighs at most 2 * half
+        for a in range(0 if odd else half):
             b = 1
-            while k * b + b * (b + 1) // 2 <= w:
-                for seq in enumerate_sequences(k, b, half):
-                    out.append(StaircaseSplit(t, seq))
+            while a * b + b * (b + 1) // 2 <= 2 * half:
+                tail = next(sequence_tails(a, b, half), None)
+                first = None if tail is None else ABSequence(tuple(range(a + 1, a + b + 1)) + tail)
+                if first is not None and is_valid_split(StaircaseSplit(t, first)):
+                    out.extend(StaircaseSplit(t, seq) for seq in enumerate_sequences(a, b, half))
                 b += 1
-            for a in range(k):
-                for seq in enumerate_sequences(a, 1, half):
-                    out.append(StaircaseSplit(t, seq))
         k += 1
     return out
 
@@ -270,9 +299,12 @@ def _iota_cell(n: int) -> CellResult:
     images = []
     for s in stricts:
         where = {"n": n, "partition": str(s)}
-        img = split_strict(s)
-        images.append(img)
         checks += 3
+        img = _outcome(split_strict, s)
+        if isinstance(img, Exception):
+            bad.append(Mismatch("weight-additivity", where, str(n), _shown(img)))
+            continue
+        images.append(img)
         if img.triangular + img.seq.weight != n:
             bad.append(
                 Mismatch("weight-additivity", where, str(n), str(img.triangular + img.seq.weight))
@@ -281,9 +313,9 @@ def _iota_cell(n: int) -> CellResult:
             # unsplit_strict refuses such a pair, so there is no round trip to check
             bad.append(Mismatch("image-characterization", where, "valid split", str(img)))
             continue
-        back = unsplit_strict(img)
+        back = _outcome(unsplit_strict, img)
         if back != s:
-            bad.append(Mismatch("round-trip", where, str(s), str(back)))
+            bad.append(Mismatch("round-trip", where, str(s), _shown(back)))
     checks += 1
     keys = {(img.triangular, img.seq.entries) for img in images}
     if len(keys) != len(images):
@@ -291,11 +323,10 @@ def _iota_cell(n: int) -> CellResult:
     pairs = _admissible_splits(n)
     for img in pairs:
         checks += 1
-        s = unsplit_strict(img)
-        if split_strict(s) != img:
-            bad.append(
-                Mismatch("completeness", {"n": n, "pair": str(img)}, str(img), str(split_strict(s)))
-            )
+        s = _outcome(unsplit_strict, img)
+        again = s if isinstance(s, Exception) else _outcome(split_strict, s)
+        if again != img:
+            bad.append(Mismatch("completeness", {"n": n, "pair": str(img)}, str(img), _shown(again)))
     checks += 1
     if len(pairs) != len(stricts):
         bad.append(Mismatch("pair-count", {"n": n}, str(len(stricts)), str(len(pairs))))
@@ -310,31 +341,24 @@ def verify_iota(n_max: int = 25, jobs: int = 1) -> VerificationReport:
     return _sweep("strict-staircase-split", _iota_cell, cells, {"n_max": n_max}, jobs)
 
 
-def theorem34_grid(k_min: int, k_max: int, m_max: int, n_max: int) -> list[tuple[int, int, int]]:
-    """The (k, m, n) cells of the theorem 3.4 sweep, in grid order.
-
-    Also empties the rank-histogram memo, so that counting the grid does the
-    same work whatever ran before it in this process.
-    """
-    forget_rank_histograms()
+def theorem34_cells(k_min: int, k_max: int, m_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
+    """The (k, m, n) cells of the theorem 3.4 sweep in grid order, each with
+    its enumerated count; every (m, n) is enumerated once, in this process."""
+    hist = {(m, n): rank_histogram(m, n) for m in range(1, m_max + 1) for n in range(n_max + 1)}
     return [
-        (k, m, n)
+        (k, m, n, hist[m, n][k])
         for k in range(k_min, k_max + 1)
         for m in range(1, m_max + 1)
         for n in range(n_max + 1)
     ]
 
 
-def theorem34_counts(k: int, m: int, n: int) -> tuple[int, int]:
-    """The enumerated count of one cell and its closed-form counterpart."""
-    return count_strict_by_parts_rank(k, m, n), count_strict_by_parts_rank_formula(k, m, n)
-
-
-def _thm34_cell(cell: tuple[int, int, int]) -> CellResult:
-    lhs, rhs = theorem34_counts(*cell)
-    if lhs != rhs:
-        k, m, n = cell
-        return 1, 0, [Mismatch("count-equality", {"k": k, "m": m, "n": n}, str(lhs), str(rhs))]
+def _thm34_cell(cell: tuple[int, int, int, int]) -> CellResult:
+    """Compare the enumerated count the cell carries with the closed form."""
+    k, m, n, count = cell
+    formula = count_strict_by_parts_rank_formula(k, m, n)
+    if count != formula:
+        return 1, 0, [Mismatch("count-equality", {"k": k, "m": m, "n": n}, str(count), str(formula))]
     return 1, 0, []
 
 
@@ -343,7 +367,7 @@ def verify_theorem34(
 ) -> VerificationReport:
     """Brute-force count of strict partitions by (parts, BG-rank) against the
     closed-form dispatch, over the full grid."""
-    cells = theorem34_grid(k_min, k_max, m_max, n_max)
+    cells = theorem34_cells(k_min, k_max, m_max, n_max)
     params = {"k_min": k_min, "k_max": k_max, "m_max": m_max, "n_max": n_max}
     return _sweep("strict-by-parts-and-rank", _thm34_cell, cells, params, jobs)
 
@@ -388,7 +412,7 @@ def _family_residue(rank: int) -> int | None:
 
 def _congruence_cell(cell: tuple[int, int]) -> CellResult:
     rank, n = cell
-    if n < rank * (2 * rank - 1):
+    if n < rank_staircase(rank)[1]:
         # identically zero by the weight bound; record as skipped
         return 0, 1, []
     checks = 1

@@ -10,7 +10,7 @@ from parity_board.bijections import (
     StaircaseSplit,
     count_strict_by_parts_rank,
     count_strict_by_parts_rank_formula,
-    in_durfee_class,
+    durfee_class,
     is_valid_split,
     partition_from_sequence,
     partition_from_sequence_by_filling,
@@ -22,7 +22,6 @@ from parity_board.partitions import (
     Partition,
     StrictPartition,
     bg_rank,
-    durfee_rectangle,
     enumerate_partitions,
     enumerate_strict_partitions,
 )
@@ -101,48 +100,49 @@ class TestInverseMap:
                         assert partition_from_sequence(a, d) == p
 
 
+def _rectangle_rows(parts, a):
+    """Rows of the largest i x (i+a) rectangle in the diagram."""
+    return sum(1 for i, part in enumerate(parts, start=1) if part >= a + i)
+
+
 class TestDurfeeClass:
     def test_worked_example(self):
-        assert in_durfee_class(Partition(BIG_PARTITION), 6, 5)
+        assert durfee_class(BIG_PARTITION, 6) == 5
 
     def test_odd_case(self):
-        assert in_durfee_class(Partition((3, 2, 1)), 0, 3)
+        assert durfee_class((3, 2, 1), 0) == 3
 
     def test_even_boundary(self):
-        assert not in_durfee_class(Partition((1,)), 0, 2)
-        assert in_durfee_class(Partition((2,)), 0, 2)
+        assert durfee_class((1,), 0) == 1
+        assert durfee_class((2,), 0) == 2
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            in_durfee_class(Partition((1,)), -1, 1)
-        with pytest.raises(ValueError):
-            in_durfee_class(Partition((1,)), 0, 0)
+            durfee_class((1,), -1)
 
     def test_classes_partition_the_universe(self):
-        # fixed offset: partitions with large first part land in exactly one
-        # class, the others in none
+        # fixed offset: a partition with large first part lies in the class of
+        # the sequence it inverts to, the others in none
         for a in range(4):
             for n in range(13):
                 for p in enumerate_partitions(n):
-                    hits = [b for b in range(1, 2 * n + 3) if in_durfee_class(p, a, b)]
-                    assert len(hits) == (1 if p.part(1) > a else 0)
+                    if p.part(1) > a:
+                        assert durfee_class(p.parts, a) == sequence_from_partition(a, p).b
+                    else:
+                        assert durfee_class(p.parts, a) == 0
 
     def test_adjacent_classes_share_a_rectangle(self):
         for a in range(3):
             for n in range(11):
                 for p in enumerate_partitions(n):
-                    for rows in range(1, n + 1):
-                        paired = in_durfee_class(p, a, 2 * rows) or in_durfee_class(
-                            p, a, 2 * rows - 1
-                        )
-                        assert paired == (durfee_rectangle(p, a).rows == rows)
+                    assert (durfee_class(p.parts, a) + 1) // 2 == _rectangle_rows(p.parts, a)
 
     def test_counting_bijectivity(self):
         for a in range(4):
             for b in range(1, 5):
                 for n in range(13):
                     members = sum(
-                        1 for p in enumerate_partitions(n) if in_durfee_class(p, a, b)
+                        1 for p in enumerate_partitions(n) if durfee_class(p.parts, a) == b
                     )
                     assert members == len(enumerate_sequences(a, b, n))
 
@@ -309,7 +309,7 @@ def test_round_trip_sampled(pair):
     a, d = pair
     lam = partition_from_sequence(a, d)
     assert 2 * lam.weight == d.weight
-    assert in_durfee_class(lam, a, d.b)
+    assert durfee_class(lam.parts, a) == d.b
     assert sequence_from_partition(a, lam) == d
 
 

@@ -5,10 +5,10 @@ the benchmark.
 stdout sha256 of a ``table`` or ``enumerate`` run and the ``checks`` count of
 a ``verify-*`` report.  This module runs the benchmark's ``pinned``
 invocations (the README command lines at their default bounds), the
-``s-coeffs`` and ``table1`` tables of its ``emit`` workload, and its
-``reach-tier`` phi and iota sweeps, in-process and holds them to the same
-rules as the benchmark gate, so a change of output is caught by the
-ordinary test run.
+``s-coeffs``, ``table1`` and ``theorem34`` tables of its ``emit`` workload,
+and its ``reach-tier`` phi, iota and thm34 sweeps, in-process and holds them
+to the same rules as the benchmark gate, so a change of output is caught by
+the ordinary test run.
 """
 
 import hashlib
@@ -24,10 +24,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # The larger invocations that also run here: the series kernel at its largest,
-# and the diagram maps (``columns``, ``from_columns``, phi and its inverse) at
-# the sizes the benchmark runs them.
-_EMIT_TABLES = (("table", "s-coeffs"), ("table", "table1"))
-_REACH_SWEEPS = ("verify-phi", "verify-iota")
+# the diagram maps (``columns``, ``from_columns``, phi and its inverse) and the
+# theorem 3.4 counts at the sizes the benchmark runs them.
+_EMIT_TABLES = (("table", "s-coeffs"), ("table", "table1"), ("table", "theorem34"))
+_REACH_SWEEPS = ("verify-phi", "verify-iota", "verify-thm34")
 
 
 def _invocations() -> tuple[tuple[str, ...], ...]:

@@ -1,13 +1,18 @@
-"""The four diagram maps against the counts they replace, and ``conjugate``.
+"""The four diagram maps against the counts they replace, ``conjugate``, and
+the Durfee class key against the membership test it replaces.
 
 ``columns``, ``from_columns``, ``partition_from_sequence`` and
 ``sequence_from_partition`` all read a diagram column by column through
 ``conjugate``.  The references below are their earlier forms, which count
 each column cell by cell: obviously correct and quadratic.  Each map must
 give the identical result, or raise the identical exception.
+
+``durfee_class`` names the one class a partition lies in; its references are
+the earlier a-Durfee rectangle and the yes/no test of one (a, b) class.
 """
 
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -16,6 +21,7 @@ from parity_board.bijections import (
     InvalidSequence,
     NotInDurfeeClass,
     _pass_cells,
+    durfee_class,
     partition_from_sequence,
     sequence_from_partition,
 )
@@ -97,6 +103,33 @@ def reference_sequence_from_partition(a, p):
     return seq
 
 
+DurfeeRect = namedtuple("DurfeeRect", "rows cols")
+
+
+def reference_durfee_rectangle(p, a):
+    if a < 0:
+        raise ValueError("a must be nonnegative")
+    rows = 0
+    for i, part in enumerate(p.parts, start=1):
+        if part < i + a:
+            break
+        rows = i
+    return DurfeeRect(rows, rows + a if rows else a)
+
+
+def reference_in_durfee_class(p, a, b):
+    if a < 0:
+        raise ValueError("a must be nonnegative")
+    if b < 1:
+        raise ValueError("b must be positive")
+    depth = (b + 1) // 2
+    if reference_durfee_rectangle(p, a).rows != depth:
+        return False
+    if b % 2 == 0:
+        return p.part(depth) > a + depth
+    return p.part(depth) == a + depth
+
+
 def _outcome(fn, *args):
     """The result of ``fn(*args)``, or the type and message of the
     ``ValueError`` (every refusal of these maps is one) that it raised."""
@@ -151,3 +184,17 @@ def test_conjugate_edges():
     assert conjugate(()) == ()
     assert conjugate((0, 0)) == ()
     assert conjugate((3, 0, -2, 1)) == (2, 1, 1)
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_durfee_class_matches_reference(n):
+    for t in partition_tuples(n):
+        p = Partition(t)
+        for a in range(8):
+            b = durfee_class(t, a)
+            rows = reference_durfee_rectangle(p, a).rows
+            assert (b + 1) // 2 == rows
+            # the old test fails every b whose depth (b + 1) // 2 is not the
+            # rectangle's rows, so only these two classes can hold p
+            held = [c for c in (2 * rows - 1, 2 * rows) if c > 0 and reference_in_durfee_class(p, a, c)]
+            assert held == ([b] if b else [])

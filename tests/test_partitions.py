@@ -1,15 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from parity_board.bijections import durfee_class
 from parity_board.partitions import (
     ColumnSequence,
-    DurfeeRect,
     MalformedColumns,
     Partition,
     StrictPartition,
     bg_rank,
     columns,
-    durfee_rectangle,
     enumerate_partitions,
     enumerate_strict_partitions,
     from_columns,
@@ -207,30 +206,29 @@ class TestFromColumns:
 
 
 class TestDurfee:
+    """The a-Durfee rectangle has ceil(b/2) rows, b the partition's class."""
+
     def test_offset_six(self):
-        assert durfee_rectangle(Partition((12, 10, 9, 6, 4, 3, 1)), 6) == DurfeeRect(3, 9)
+        assert durfee_class((12, 10, 9, 6, 4, 3, 1), 6) == 5
 
     def test_square(self):
-        assert durfee_rectangle(Partition((7, 4, 3, 1)), 0) == DurfeeRect(3, 3)
+        assert durfee_class((7, 4, 3, 1), 0) == 5
 
     def test_absent(self):
-        rect = durfee_rectangle(Partition(()), 2)
-        assert rect == DurfeeRect(0, 2)
-        assert not rect.present
+        assert durfee_class((), 2) == 0
 
     def test_absent_iff_largest_part_small(self):
         for n in range(13):
             for p in enumerate_partitions(n):
                 for a in range(7):
-                    present = durfee_rectangle(p, a).present
-                    assert present == (p.part(1) > a)
+                    assert (durfee_class(p.parts, a) > 0) == (p.part(1) > a)
 
     def test_rows_weakly_decreasing_in_offset(self):
         for n in range(13):
             for p in enumerate_partitions(n):
-                rows = [durfee_rectangle(p, a).rows for a in range(8)]
+                rows = [(durfee_class(p.parts, a) + 1) // 2 for a in range(8)]
                 assert all(x >= y for x, y in zip(rows, rows[1:]))
 
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
-            durfee_rectangle(Partition((3,)), -1)
+            durfee_class((3,), -1)

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from parity_board import bijections, partitions, verify
+from parity_board.abseq import alternating_sum
 from parity_board.bijections import (
     StaircaseSplit,
     count_strict_by_parts_rank_formula,
@@ -197,35 +198,56 @@ def _all_ones(a, seq):
     return Partition((1,) * partition_from_sequence(a, seq).weight)
 
 
-# id -> (sweep at small bounds, the name it calls, that function broken).
-# Each break is off by one, except the all-ones image: it lies outside the
-# Durfee class, so the sweep must report it without attempting the round trip.
+def _drop_first_entry(parts):
+    return partitions.conjugate(parts)[1:]
+
+
+# id -> (sweep at small bounds, "module.name" of a function it calls, that
+# function broken).  Most breaks are off by one.  The all-ones image lies
+# outside the Durfee class, so the sweep must report it without attempting
+# the round trip.  The alternating sum off by one and the conjugate that drops
+# its first entry make a map raise, which the sweep must report as a
+# mismatch.  The split test that accepts everything must be caught by the
+# pairs it lets in.
 FAULTS = {
     "partition_from_sequence": (
-        lambda: verify_bijection_phi(2, 3, 6), "partition_from_sequence", _first_part_plus_one
+        lambda: verify_bijection_phi(2, 3, 6), "verify.partition_from_sequence", _first_part_plus_one
     ),
-    "gf_coefficients": (lambda: verify_gf(2, 4, 8), "gf_coefficients", _off_by_one_entry),
-    "split_strict": (lambda: verify_iota(10), "split_strict", _staircase_one_higher),
+    "gf_coefficients": (lambda: verify_gf(2, 4, 8), "verify.gf_coefficients", _off_by_one_entry),
+    "split_strict": (lambda: verify_iota(10), "verify.split_strict", _staircase_one_higher),
     "count_strict_by_parts_rank_formula": (
         lambda: verify_theorem34(-2, 2, 5, 15),
-        "count_strict_by_parts_rank_formula",
+        "verify.count_strict_by_parts_rank_formula",
         lambda k, m, n: count_strict_by_parts_rank_formula(k, m, n) + 1,
     ),
-    "partition_tuples": (lambda: verify_euler_vandervelde(12), "partition_tuples", _drop_first_row),
+    "partition_tuples": (
+        lambda: verify_euler_vandervelde(12), "verify.partition_tuples", _drop_first_row
+    ),
     "strict_count_by_rank": (
         lambda: verify_congruences(40),
-        "strict_count_by_rank",
+        "verify.strict_count_by_rank",
         lambda rank, n: strict_count_by_rank(rank, n) + 1,
     ),
     "partition_from_sequence-outside-class": (
-        lambda: verify_bijection_phi(2, 2, 4), "partition_from_sequence", _all_ones
+        lambda: verify_bijection_phi(2, 2, 4), "verify.partition_from_sequence", _all_ones
+    ),
+    "alternating_sum-raises-in-split": (
+        lambda: verify_iota(10),
+        "bijections.alternating_sum",
+        lambda xs: alternating_sum(xs) + 1,
+    ),
+    "conjugate-raises-in-phi": (
+        lambda: verify_bijection_phi(2, 3, 6), "bijections.conjugate", _drop_first_entry
+    ),
+    "is_valid_split-accepts-everything": (
+        lambda: verify_iota(10), "verify.is_valid_split", lambda img: True
     ),
 }
 
 
-@pytest.mark.parametrize("sweep, name, broken", FAULTS.values(), ids=FAULTS.keys())
-def test_every_sweep_fails_when_its_closed_form_is_off_by_one(monkeypatch, sweep, name, broken):
-    monkeypatch.setattr(verify, name, broken)
+@pytest.mark.parametrize("sweep, target, broken", FAULTS.values(), ids=FAULTS.keys())
+def test_every_sweep_fails_when_its_closed_form_is_off_by_one(monkeypatch, sweep, target, broken):
+    monkeypatch.setattr(f"parity_board.{target}", broken)
     report = sweep()
     assert report.mismatches
     assert report.exit_code == 1
@@ -245,3 +267,39 @@ def test_iota_fails_when_conjugate_drops_its_last_entry(monkeypatch):
     assert report.mismatches
     assert report.exit_code == 1
     assert {m.law for m in report.mismatches} == {"weight-additivity", "round-trip", "completeness"}
+
+
+def test_a_raising_map_is_reported_by_name():
+    """The mismatch names what the map raised, and only the checks that need
+    the map's result are skipped: the other sequences of the cell, and the
+    cardinality, are still checked."""
+    conjugate = bijections.conjugate
+    calls = []
+
+    def fails_once(parts):
+        calls.append(parts)
+        if len(calls) == 1:
+            raise ValueError("planted")
+        return conjugate(parts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bijections, "conjugate", fails_once)
+        report = verify_bijection_phi(0, 1, 3)
+    assert [(m.law, m.actual) for m in report.mismatches] == [("halved-weight", "ValueError: planted")]
+    assert report.checks_run == verify_bijection_phi(0, 1, 3).checks_run
+
+
+def test_theorem34_enumerates_each_parts_weight_pair_once(monkeypatch):
+    """Each (m, n) of the grid is enumerated once for all ranks, and the
+    count does not grow past any cache size: 100 * 41 pairs here."""
+    calls = []
+    strict_partition_tuples = bijections.strict_partition_tuples
+
+    def counted(*args, **kwargs):
+        calls.append((args, tuple(kwargs.items())))
+        return strict_partition_tuples(*args, **kwargs)
+
+    monkeypatch.setattr(bijections, "strict_partition_tuples", counted)
+    report = verify_theorem34(-1, 1, 100, 40)
+    assert report.passed
+    assert len(calls) == len(set(calls)) == 4100
