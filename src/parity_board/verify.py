@@ -13,7 +13,6 @@ import json
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -36,6 +35,7 @@ from .partitions import (
     partition_tuples,
     rank_staircase,
     strict_partition_tuples,
+    StrictPartition,
 )
 from .qseries import gf_coefficients, strict_count_by_rank
 
@@ -144,10 +144,13 @@ def _run_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
     """Map ``fn`` over ``cells`` preserving order, optionally in processes.
 
     At most ``jobs`` workers start, and never more than there are CPUs or
-    cells.
+    cells.  The process pool, and with it ``multiprocessing``, is imported
+    only when one starts.
     """
     workers = min(jobs, os.cpu_count() or 1, len(cells))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(cells) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, cells, chunksize=chunk))
@@ -186,26 +189,29 @@ def _phi_cell(cell: tuple[int, int, int, int]) -> CellResult:
     a, b, n, members = cell
     checks = 0
     bad: list[Mismatch] = []
+
+    def miss(law: str, seq: ABSequence, expected: str, actual: str) -> None:
+        bad.append(Mismatch(law, {"a": a, "b": b, "n": n, "seq": str(seq)}, expected, actual))
+
     seqs = enumerate_sequences(a, b, n)
     for seq in seqs:
-        where = {"a": a, "b": b, "n": n, "seq": str(seq)}
         checks += 4
         lam = _outcome(partition_from_sequence, a, seq)
         if isinstance(lam, Exception):
-            bad.append(Mismatch("halved-weight", where, str(n), _shown(lam)))
+            miss("halved-weight", seq, str(n), _shown(lam))
             continue
         if lam.weight != n:
-            bad.append(Mismatch("halved-weight", where, str(n), str(lam.weight)))
+            miss("halved-weight", seq, str(n), str(lam.weight))
         if durfee_class(lam.parts, a) != b:
             # sequence_from_partition may refuse such a partition, so there is no round trip to check
-            bad.append(Mismatch("class-membership", where, "member", f"{lam} outside class"))
+            miss("class-membership", seq, "member", f"{lam} outside class")
         else:
             back = _outcome(sequence_from_partition, a, lam)
             if back != seq:
-                bad.append(Mismatch("round-trip", where, str(seq), _shown(back)))
+                miss("round-trip", seq, str(seq), _shown(back))
         filled = _outcome(partition_from_sequence_by_filling, a, seq)
         if filled != lam:
-            bad.append(Mismatch("board-oracle", where, str(lam), _shown(filled)))
+            miss("board-oracle", seq, str(lam), _shown(filled))
     checks += 1
     if members != len(seqs):
         bad.append(
@@ -292,30 +298,48 @@ def _admissible_splits(n: int) -> list[StaircaseSplit]:
     return out
 
 
+def _stored_outcome(memo: dict, key, fn: Callable, arg):
+    """``memo[key]`` when an earlier pass stored it, else ``_outcome(fn, arg)``.
+    A stored value may be falsy (the empty partition), so a miss is ``None``."""
+    found = memo.get(key)
+    return _outcome(fn, arg) if found is None else found
+
+
 def _iota_cell(n: int) -> CellResult:
+    """Check the split on every strict partition of ``n``, then that every
+    admissible pair of weight ``n`` is the split of one.
+
+    The round-trip pass keeps each split in ``split_of`` (keyed by parts) and
+    each unsplit in ``unsplit_of`` (keyed by triangular part and sequence
+    entries), result or exception.  Both maps are pure functions of those
+    values, so the completeness pass reads them and calls a map only on a
+    miss, such as a pair that is no strict partition's split.
+    """
     checks = 0
     bad: list[Mismatch] = []
+
+    def miss(law: str, s: StrictPartition, expected: str, actual: str) -> None:
+        bad.append(Mismatch(law, {"n": n, "partition": str(s)}, expected, actual))
+
     stricts = enumerate_strict_partitions(n)
-    images = []
+    split_of: dict = {}
+    unsplit_of: dict = {}
     for s in stricts:
-        where = {"n": n, "partition": str(s)}
         checks += 3
-        img = _outcome(split_strict, s)
+        img = split_of[s.parts] = _outcome(split_strict, s)
         if isinstance(img, Exception):
-            bad.append(Mismatch("weight-additivity", where, str(n), _shown(img)))
+            miss("weight-additivity", s, str(n), _shown(img))
             continue
-        images.append(img)
         if img.triangular + img.seq.weight != n:
-            bad.append(
-                Mismatch("weight-additivity", where, str(n), str(img.triangular + img.seq.weight))
-            )
+            miss("weight-additivity", s, str(n), str(img.triangular + img.seq.weight))
         if not is_valid_split(img):
             # unsplit_strict refuses such a pair, so there is no round trip to check
-            bad.append(Mismatch("image-characterization", where, "valid split", str(img)))
+            miss("image-characterization", s, "valid split", str(img))
             continue
-        back = _outcome(unsplit_strict, img)
+        back = unsplit_of[img.triangular, img.seq.entries] = _outcome(unsplit_strict, img)
         if back != s:
-            bad.append(Mismatch("round-trip", where, str(s), _shown(back)))
+            miss("round-trip", s, str(s), _shown(back))
+    images = [img for img in split_of.values() if not isinstance(img, Exception)]
     checks += 1
     keys = {(img.triangular, img.seq.entries) for img in images}
     if len(keys) != len(images):
@@ -323,8 +347,12 @@ def _iota_cell(n: int) -> CellResult:
     pairs = _admissible_splits(n)
     for img in pairs:
         checks += 1
-        s = _outcome(unsplit_strict, img)
-        again = s if isinstance(s, Exception) else _outcome(split_strict, s)
+        s = _stored_outcome(unsplit_of, (img.triangular, img.seq.entries), unsplit_strict, img)
+        if isinstance(s, Exception):
+            again = s
+        else:
+            # a broken unsplit may return a non-partition: it misses, and the split reports it
+            again = _stored_outcome(split_of, getattr(s, "parts", None), split_strict, s)
         if again != img:
             bad.append(Mismatch("completeness", {"n": n, "pair": str(img)}, str(img), _shown(again)))
     checks += 1
@@ -372,13 +400,11 @@ def verify_theorem34(
     return _sweep("strict-by-parts-and-rank", _thm34_cell, cells, params, jobs)
 
 
-def _euler_cell(n: int) -> CellResult:
+def _euler_cell(cell: tuple[int, int]) -> CellResult:
+    """Count the strict partitions of ``n`` and compare with the count of
+    (triangular, even-part partition) pairs the cell carries."""
+    n, rhs = cell
     lhs = sum(1 for _ in strict_partition_tuples(n))
-    rhs = 0
-    k = 0
-    while k * (k + 1) // 2 <= n:
-        rhs += sum(1 for _ in partition_tuples(n - k * (k + 1) // 2, parts_filter="even-only"))
-        k += 1
     if lhs != rhs:
         return 1, 0, [Mismatch("count-equality", {"n": n}, str(lhs), str(rhs))]
     return 1, 0, []
@@ -386,8 +412,20 @@ def _euler_cell(n: int) -> CellResult:
 
 def verify_euler_vandervelde(n_max: int = 40, jobs: int = 1) -> VerificationReport:
     """Strict partitions of n versus pairs (triangular part, partition into
-    even parts) of total weight n, both sides enumerated."""
-    cells = list(range(n_max + 1))
+    even parts) of total weight n, both sides enumerated.
+
+    The partitions into even parts of each weight up to ``n_max`` are
+    counted once, in this process, and each cell carries the number of pairs
+    of its weight; the cell enumerates only the strict side.
+    """
+    evens = [sum(1 for _ in partition_tuples(m, parts_filter="even-only")) for m in range(n_max + 1)]
+    pairs = [0] * (n_max + 1)
+    k = 0
+    while (t := k * (k + 1) // 2) <= n_max:
+        for n in range(t, n_max + 1):
+            pairs[n] += evens[n - t]
+        k += 1
+    cells = list(enumerate(pairs))
     return _sweep("strict-vs-triangular-plus-even", _euler_cell, cells, {"n_max": n_max}, jobs)
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import parity_board
 from parity_board.cli import main
 from parity_board.qseries import gf_coefficients
 
@@ -199,3 +203,26 @@ def test_output_longer_than_one_write_is_whole(tmp_path, capsys, to_file):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert (target.read_text(encoding="utf-8") if to_file else out) == expected
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(parity_board.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """``multiprocessing`` is imported only by a run that starts a pool."""
+    probe = (
+        "import sys, parity_board.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    assert _fresh_python("-c", probe).stdout.strip() == b"[]"
+
+
+def test_fresh_sharded_run_prints_the_serial_bytes():
+    argv = ("-m", "parity_board", "verify-euler", "--n-max", "20")
+    serial = _fresh_python(*argv, "--jobs", "1").stdout
+    assert b"status\tpass" in serial
+    assert _fresh_python(*argv, "--jobs", "2").stdout == serial

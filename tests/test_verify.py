@@ -10,8 +10,9 @@ from parity_board.bijections import (
     count_strict_by_parts_rank_formula,
     partition_from_sequence,
     split_strict,
+    unsplit_strict,
 )
-from parity_board.partitions import Partition, partition_tuples
+from parity_board.partitions import Partition, StrictPartition, partition_tuples, strict_partition_tuples
 from parity_board.qseries import gf_coefficients, strict_count_by_rank
 from parity_board.verify import (
     CONGRUENCE_FAMILIES,
@@ -51,7 +52,7 @@ def test_reports_deterministic(sweep):
     assert list(first.json_lines()) == list(second.json_lines())
 
 
-@pytest.mark.parametrize("sweep", [SMALL_SWEEPS[0], SMALL_SWEEPS[2], SMALL_SWEEPS[3]])
+@pytest.mark.parametrize("sweep", [SMALL_SWEEPS[0], SMALL_SWEEPS[2], SMALL_SWEEPS[3], SMALL_SWEEPS[4]])
 def test_worker_count_does_not_change_report(sweep):
     serial = sweep(jobs=1)
     sharded = sweep(jobs=3)
@@ -125,8 +126,9 @@ def test_failure_report_rendering():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count and maps
-    in this process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor, which ``verify._run_cells`` imports
+    from ``concurrent.futures`` when it starts a pool: records the worker
+    count and maps in this process, so no worker is ever started."""
 
     max_workers: list[int] = []
 
@@ -155,7 +157,7 @@ class _RecordingPool:
 )
 def test_worker_count_is_capped(monkeypatch, jobs, cpus, n_cells, workers):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
     cells = list(range(n_cells))
     assert verify._run_cells(abs, cells, jobs) == cells
@@ -194,6 +196,15 @@ def _drop_first_row(*args, **kwargs):
     return itertools.islice(partition_tuples(*args, **kwargs), 1, None)
 
 
+def _drop_first_strict_row(*args, **kwargs):
+    return itertools.islice(strict_partition_tuples(*args, **kwargs), 1, None)
+
+
+def _unsplit_first_part_plus_one(img):
+    parts = unsplit_strict(img).parts
+    return StrictPartition((parts[0] + 1,) + parts[1:])
+
+
 def _all_ones(a, seq):
     return Partition((1,) * partition_from_sequence(a, seq).weight)
 
@@ -208,7 +219,8 @@ def _drop_first_entry(parts):
 # the round trip.  The alternating sum off by one and the conjugate that drops
 # its first entry make a map raise, which the sweep must report as a
 # mismatch.  The split test that accepts everything must be caught by the
-# pairs it lets in.
+# pairs it lets in.  The broken unsplit and the strict enumerator that drops a
+# row break the sides that iota and euler now compute once and reuse.
 FAULTS = {
     "partition_from_sequence": (
         lambda: verify_bijection_phi(2, 3, 6), "verify.partition_from_sequence", _first_part_plus_one
@@ -222,6 +234,9 @@ FAULTS = {
     ),
     "partition_tuples": (
         lambda: verify_euler_vandervelde(12), "verify.partition_tuples", _drop_first_row
+    ),
+    "strict_partition_tuples": (
+        lambda: verify_euler_vandervelde(12), "verify.strict_partition_tuples", _drop_first_strict_row
     ),
     "strict_count_by_rank": (
         lambda: verify_congruences(40),
@@ -242,6 +257,7 @@ FAULTS = {
     "is_valid_split-accepts-everything": (
         lambda: verify_iota(10), "verify.is_valid_split", lambda img: True
     ),
+    "unsplit_strict": (lambda: verify_iota(10), "verify.unsplit_strict", _unsplit_first_part_plus_one),
 }
 
 
@@ -303,3 +319,46 @@ def test_theorem34_enumerates_each_parts_weight_pair_once(monkeypatch):
     report = verify_theorem34(-1, 1, 100, 40)
     assert report.passed
     assert len(calls) == len(set(calls)) == 4100
+
+
+def _counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records each call's arguments."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_unsplit_off_by_one_fails_both_passes_through_the_reused_results(monkeypatch):
+    """The completeness pass reads the unsplits of the round-trip pass, so a
+    broken unsplit still fails both, and is called once per strict partition."""
+    monkeypatch.setattr(verify, "unsplit_strict", _unsplit_first_part_plus_one)
+    calls = _counting(monkeypatch, verify, "unsplit_strict")
+    report = verify_iota(10)
+    assert {"round-trip", "completeness"} <= {m.law for m in report.mismatches}
+    assert len(calls) == sum(1 for n in range(11) for _ in strict_partition_tuples(n))
+
+
+def test_iota_maps_each_strict_partition_once(monkeypatch):
+    """The completeness pass reuses the round-trip pass's results: one split
+    and one unsplit per strict partition of n <= 12."""
+    splits = _counting(monkeypatch, verify, "split_strict")
+    unsplits = _counting(monkeypatch, verify, "unsplit_strict")
+    report = verify_iota(12)
+    assert report.passed
+    stricts = sum(1 for n in range(13) for _ in strict_partition_tuples(n))
+    assert len(splits) == len(unsplits) == stricts == 70
+
+
+def test_euler_counts_each_even_part_weight_once(monkeypatch):
+    """The even-part side is enumerated once per weight 0..20, in this process."""
+    calls = _counting(monkeypatch, verify, "partition_tuples")
+    report = verify_euler_vandervelde(20)
+    assert report.passed
+    assert report.checks_run == 21
+    assert calls == [(m,) for m in range(21)]
