@@ -2,8 +2,10 @@
 
 Every sweep walks a parameter grid in canonical order, returning a
 :class:`VerificationReport`.  Cells are independent pure computations, so a
-grid may be sharded across worker processes; results merge in grid order and
-the serialized report is byte-identical for any worker count.  Wall time is
+grid may be sharded across W processes: the parent maps the strided share
+``cells[0::W]`` itself and forks a child for each other share ``cells[w::W]``
+(serial where ``os.fork`` is missing).  Results merge in grid order and the
+serialized report is byte-identical for any worker count.  Wall time is
 kept on the report but deliberately left out of the serialization.
 """
 
@@ -14,7 +16,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .abseq import ABSequence, EMPTY_SEQUENCE, enumerate_sequences, sequence_tails
 from .bijections import (
@@ -140,20 +142,87 @@ class VerificationReport:
 CellResult = tuple[int, int, list[Mismatch]]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_share_and_exit(fn: Callable, share: Sequence, rfd: int, wfd: int) -> NoReturn:
+    """In a forked child: close the parent's end ``rfd`` of the pipe, map
+    ``fn`` over ``share``, write the pickled reply ``(True, results)`` or
+    ``(False, exception)`` to ``wfd``, and exit.
+
+    The exit status is 0 only once the whole reply is written.  A result or
+    exception that cannot be pickled is replaced by an error that says so.
+    """
+    import pickle
+
+    status = 1
+    try:
+        os.close(rfd)
+        try:
+            reply = pickle.dumps((True, [fn(cell) for cell in share]))
+        except BaseException as exc:  # re-raised in the parent
+            try:
+                reply = pickle.dumps((False, exc))
+            except Exception as why:
+                reply = pickle.dumps((False, RuntimeError(f"{exc!r} cannot be sent to the parent: {why!r}")))
+        with open(wfd, "wb") as pipe:
+            pipe.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, rfd: int) -> tuple[int, bytes]:
+    """Read a child's reply to the end of its pipe, then wait for the child:
+    ``(exit status, reply)``, with ``-signal`` for a child a signal killed."""
+    with open(rfd, "rb") as pipe:
+        reply = pipe.read()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), reply
+
+
 def _run_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
     """Map ``fn`` over ``cells`` preserving order, optionally in processes.
 
-    At most ``jobs`` workers start, and never more than there are CPUs or
-    cells.  The process pool, and with it ``multiprocessing``, is imported
-    only when one starts.
+    W = min(jobs, usable CPUs, cells) processes share the cells, and W is 1
+    where ``os.fork`` is missing.  Share w is ``cells[w::W]``: strided, so
+    neighbouring cells, which cost about the same, go to different processes
+    and no process gets the whole heavy tail of the grid.  The parent is one
+    of the W processes and maps share 0 itself; each of W − 1 forked children
+    maps one share and sends its results back pickled through a pipe.  Every
+    child is reaped before this returns.  An exception a cell raised in a
+    child is raised again here, and a child that dies is an error naming its
+    exit status.
     """
-    workers = min(jobs, os.cpu_count() or 1, len(cells))
+    workers = min(jobs, _usable_cpus(), len(cells)) if hasattr(os, "fork") else 1
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        import pickle  # before the fork, so the children inherit it
 
-        chunk = max(1, len(cells) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, cells, chunksize=chunk))
+        children = []
+        out = [None] * len(cells)
+        try:
+            for w in range(1, workers):
+                rfd, wfd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _map_share_and_exit(fn, cells[w::workers], rfd, wfd)
+                os.close(wfd)
+                children.append((pid, rfd))
+            out[0::workers] = [fn(cell) for cell in cells[0::workers]]
+        finally:
+            replies = [_reap(pid, rfd) for pid, rfd in children]
+        for w, (status, reply) in enumerate(replies, 1):
+            if status:
+                raise RuntimeError(f"sweep process for share {w} of {workers} exited with status {status}")
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            out[w::workers] = value
+        return out
     return [fn(cell) for cell in cells]
 
 

@@ -213,12 +213,16 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    """``multiprocessing`` is imported only by a run that starts a pool."""
-    probe = (
-        "import sys, parity_board.cli; "
-        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
-    )
+    """Neither importing the CLI nor a sharded run loads a process pool."""
+    pools = "{'concurrent.futures', 'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)"
+    probe = f"import sys, parity_board.cli; print(sorted({pools}))"
     assert _fresh_python("-c", probe).stdout.strip() == b"[]"
+    sharded = (
+        "import sys; from parity_board.cli import main; "
+        "code = main(['verify-euler', '--n-max', '20', '--jobs', '2']); "
+        f"print(code, sorted({pools}), file=sys.stderr)"
+    )
+    assert _fresh_python("-c", sharded).stderr.splitlines()[-1] == b"0 []"
 
 
 def test_fresh_sharded_run_prints_the_serial_bytes():

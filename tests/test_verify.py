@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import os
+import signal
 
 import pytest
 
@@ -52,7 +54,7 @@ def test_reports_deterministic(sweep):
     assert list(first.json_lines()) == list(second.json_lines())
 
 
-@pytest.mark.parametrize("sweep", [SMALL_SWEEPS[0], SMALL_SWEEPS[2], SMALL_SWEEPS[3], SMALL_SWEEPS[4]])
+@pytest.mark.parametrize("sweep", SMALL_SWEEPS)
 def test_worker_count_does_not_change_report(sweep):
     serial = sweep(jobs=1)
     sharded = sweep(jobs=3)
@@ -125,24 +127,34 @@ def test_failure_report_rendering():
     assert not any("1.25" in line for line in tsv + json_lines)
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor, which ``verify._run_cells`` imports
-    from ``concurrent.futures`` when it starts a pool: records the worker
-    count and maps in this process, so no worker is ever started."""
+# Every fork this test process makes, recorded on the parent side.  The hook
+# cannot be unregistered, so it is registered once and tests read the count
+# before and after a run.
+_FORKS: list[int] = []
+os.register_at_fork(before=lambda: _FORKS.append(os.getpid()))
 
-    max_workers: list[int] = []
 
-    def __init__(self, max_workers):
-        self.max_workers.append(max_workers)
+@pytest.fixture
+def deadline():
+    """A test whose fork-join run hangs fails after 10 s instead."""
 
-    def __enter__(self):
-        return self
+    def hung(signum, frame):
+        raise TimeoutError("the fork-join run hung")
 
-    def __exit__(self, *exc):
-        return False
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
-    def map(self, fn, cells, chunksize=1):
-        return map(fn, cells)
+
+def _patch_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable, or none known when ``cpus`` is None."""
+    if cpus is None:
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
 
 
 @pytest.mark.parametrize(
@@ -151,17 +163,124 @@ class _RecordingPool:
         (64, 4, 10, [4]),  # capped at the CPU count
         (64, 16, 5, [5]),  # capped at the cell count
         (3, 16, 10, [3]),  # the requested count when it is the smallest
-        (64, None, 10, []),  # unknown CPU count: one CPU, no pool
-        (64, 8, 1, []),  # a single cell never starts a pool
+        (64, None, 10, []),  # unknown CPU count: one CPU, no fork
+        (64, 8, 1, []),  # a single cell never forks
     ],
 )
-def test_worker_count_is_capped(monkeypatch, jobs, cpus, n_cells, workers):
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+def test_worker_count_is_capped(monkeypatch, deadline, jobs, cpus, n_cells, workers):
+    """``workers`` is ``[W]`` when W processes, the parent and W - 1 forked
+    children, share the cells, and ``[]`` when the parent maps them alone."""
+    _patch_cpus(monkeypatch, cpus)
     cells = list(range(n_cells))
+    before = len(_FORKS)
     assert verify._run_cells(abs, cells, jobs) == cells
-    assert _RecordingPool.max_workers == workers
+    forks = len(_FORKS) - before
+    assert ([forks + 1] if forks else []) == workers
+
+
+def test_worker_count_is_capped_at_the_affinity_set(monkeypatch, deadline):
+    """A process pinned to 2 of 64 CPUs forks one child, not 63."""
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    before = len(_FORKS)
+    assert verify._run_cells(abs, list(range(10)), 64) == list(range(10))
+    assert len(_FORKS) - before == 1
+
+
+def test_no_fork_means_serial(monkeypatch):
+    monkeypatch.delattr(verify.os, "fork")
+    _patch_cpus(monkeypatch, 4)
+    assert verify._run_cells(lambda cell: os.getpid(), [0, 1, 2], 4) == [os.getpid()] * 3
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("n_cells", [7, 12])
+def test_shares_merge_in_grid_order(monkeypatch, deadline, workers, n_cells):
+    _patch_cpus(monkeypatch, workers)
+    cells = [(n, -n) for n in range(n_cells)]
+
+    def square(cell):  # a local function: forked children need no pickled fn
+        return [cell[0] * cell[0], cell]
+
+    assert verify._run_cells(square, cells, workers) == [square(c) for c in cells]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_shares_are_strided_and_the_parent_maps_share_0(monkeypatch, deadline, workers):
+    _patch_cpus(monkeypatch, workers)
+    pids = verify._run_cells(lambda cell: os.getpid(), list(range(10)), workers)
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == workers
+    assert all(pid == pids[i % workers] for i, pid in enumerate(pids))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch, deadline):
+    _patch_cpus(monkeypatch, 2)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_cell_that_raises_in_a_child_raises_in_the_parent(two_cpus):
+    def broken(cell):
+        if cell == 3:  # share 1 of 2, mapped by the child
+            raise ValueError(f"cell {cell} is broken")
+        return cell
+
+    with pytest.raises(ValueError, match="^cell 3 is broken$"):
+        verify._run_cells(broken, list(range(6)), 2)
+    _assert_no_child_left()
+
+
+def test_a_cell_that_raises_in_the_parent_still_reaps_the_children(two_cpus):
+    def broken(cell):
+        if cell == 2:  # share 0, mapped by the parent
+            raise KeyError(cell)
+        return cell
+
+    with pytest.raises(KeyError):
+        verify._run_cells(broken, list(range(6)), 2)
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_is_an_error_naming_its_status(two_cpus):
+    parent = os.getpid()
+
+    def die_in_child(cell):
+        if os.getpid() != parent:
+            os._exit(3)
+        return cell
+
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        verify._run_cells(die_in_child, list(range(6)), 2)
+    _assert_no_child_left()
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception refuses to be pickled")
+
+
+def _raise_unpicklable_in_share_1(cell):
+    if cell:
+        raise _Unpicklable(cell)
+    return cell
+
+
+@pytest.mark.parametrize(
+    "fn, message",
+    [
+        (lambda cell: (lambda: cell), "pickle"),  # a local lambda is no picklable result
+        (_raise_unpicklable_in_share_1, "cannot be sent to the parent"),
+    ],
+)
+def test_what_cannot_be_pickled_comes_back_as_an_error(two_cpus, fn, message):
+    with pytest.raises(Exception, match=message):
+        verify._run_cells(fn, [0, 1], 2)
+    _assert_no_child_left()
 
 
 def test_vacuous_reports_say_so():
