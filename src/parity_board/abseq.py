@@ -92,16 +92,8 @@ class ABSequence:
         object.__setattr__(self, "b", b)
 
     @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
     def weight(self) -> int:
         return sum(self.entries)
-
-    @property
-    def alt_sum(self) -> int:
-        return alternating_sum(self.entries)
 
     @property
     def is_empty(self) -> bool:
@@ -208,7 +200,7 @@ def enumerate_sequences(a: int, b: int, half_weight: int) -> list[ABSequence]:
 def check_prefix_sign_property(d: ABSequence) -> bool:
     """No two consecutive running alternating sums are strictly same-signed."""
     sums = d.prefix_alt_sums()
-    return not any(sums[m] * sums[m + 1] > 0 for m in range(1, d.length))
+    return not any(sums[m] * sums[m + 1] > 0 for m in range(1, len(d)))
 
 
 def check_pairing_property(d: ABSequence, n: int) -> bool:
@@ -219,10 +211,10 @@ def check_pairing_property(d: ABSequence, n: int) -> bool:
     ``n`` has the parity of the length and entries n+1..l form equal adjacent
     pairs (weak decrease between pairs already holds by construction).
     """
-    if n < d.b - 1 or n > d.length:
-        raise PreconditionViolated(f"n={n} outside [b-1, l] = [{d.b - 1}, {d.length}]")
+    if n < d.b - 1 or n > len(d):
+        raise PreconditionViolated(f"n={n} outside [b-1, l] = [{d.b - 1}, {len(d)}]")
     if d.prefix_alt_sums()[n] != 0:
         raise PreconditionViolated(f"running alternating sum at {n} is nonzero")
-    if (d.length - n) % 2:
+    if (len(d) - n) % 2:
         return False
-    return all(d.entries[i] == d.entries[i + 1] for i in range(n, d.length - 1, 2))
+    return all(d.entries[i] == d.entries[i + 1] for i in range(n, len(d) - 1, 2))

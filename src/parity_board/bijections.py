@@ -54,7 +54,6 @@ __all__ = [
     "unsplit_strict",
     "is_valid_split",
     "rank_histogram",
-    "count_strict_by_parts_rank",
     "count_strict_by_parts_rank_formula",
 ]
 
@@ -290,28 +289,21 @@ def rank_histogram(m: int, n: int) -> Counter:
     return Counter(bg_rank(t) for t in strict_partition_tuples(n, num_parts=m))
 
 
-def count_strict_by_parts_rank(k: int, m: int, n: int) -> int:
-    """Strict partitions of ``n`` with exactly ``m`` parts and BG-rank ``k``,
-    by exhaustive enumeration.  A sweep over many ranks reads
-    :func:`rank_histogram` once per (m, n) instead."""
-    return rank_histogram(m, n)[k]
-
-
 def count_strict_by_parts_rank_formula(k: int, m: int, n: int) -> int:
-    """Closed-form counterpart of :func:`count_strict_by_parts_rank`.
+    """Strict partitions of ``n`` with exactly ``m`` parts and BG-rank ``k``,
+    in closed form: ``rank_histogram(m, n)[k]`` is the enumerated count it
+    must equal.
 
     A strict partition with BG-rank k splits off the staircase of
-    :func:`rank_staircase`.  When m exceeds its height the leftovers form a
-    sequence family cell; when m equals it they pair up, giving partitions
-    of half the leftover weight with bounded largest part.  Out-of-range
-    (k, m, n) combinations count zero.
+    :func:`rank_staircase`, so it has at least that many parts.  When m
+    exceeds the height the leftovers form a sequence family cell; when m
+    equals it they pair up, giving partitions of half the leftover weight
+    with bounded largest part.  Out-of-range (k, m, n) combinations count
+    zero: a weight below m(m+1)/2 leaves either a negative leftover or a
+    cell with no sequences.
     """
-    if m < 0:
-        return 0
     height, weight = rank_staircase(k)
     if m < height:
-        return 0
-    if n < m * (m + 1) // 2:
         return 0
     leftover = n - weight
     if leftover < 0 or leftover % 2:

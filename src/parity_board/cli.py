@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 when every check passes, 1 when a verification finds any
-mismatch, 2 on usage or parameter errors.  Data rows go to stdout (or the
-``--out`` file); a one-line timing summary goes to stderr so the data stream
-stays byte-stable.
+mismatch, 2 on usage or parameter errors, among them an ``--out`` file that
+cannot be opened.  Data rows go to stdout (or the ``--out`` file); the
+``verify-*`` subcommands also write a one-line timing summary to stderr, so
+the data stream stays byte-stable.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import contextlib
 import inspect
 import sys
 from itertools import islice
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, TextIO
 
 from . import tables, verify
 
@@ -109,11 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 _CHUNK_LINES = 4096
 
 
-def _write(lines: Iterable[str], out: Optional[str]) -> None:
+def _write(lines: Iterable[str], fh: TextIO) -> None:
     rows = (line + "\n" for line in lines)
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
-        while chunk := "".join(islice(rows, _CHUNK_LINES)):
-            fh.write(chunk)
+    while chunk := "".join(islice(rows, _CHUNK_LINES)):
+        fh.write(chunk)
 
 
 def _params(args: argparse.Namespace) -> dict:
@@ -121,11 +121,11 @@ def _params(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "kind", "format", "out")}
 
 
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args: argparse.Namespace, fh: TextIO) -> int:
     sweep = getattr(verify, verify.SWEEPS[args.command][0])
     report = sweep(**_params(args))
     lines = report.tsv_lines() if args.format == "tsv" else report.json_lines()
-    _write(lines, args.out)
+    _write(lines, fh)
     print(
         f"# {report.subject}: {report.checks_run} checks, "
         f"{len(report.mismatches)} mismatches, {report.skipped} skipped "
@@ -138,28 +138,31 @@ def _run_verify(args: argparse.Namespace) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "enumerate":
-        if args.what == "partitions":
-            parts_filter = "even-only" if args.even_only else "any"
-            lines = tables.emit_partitions(args.n, args.max_part, parts_filter, args.format)
-        elif args.what == "strict":
-            lines = tables.emit_strict_partitions(args.n, args.parts, args.format)
-        else:
-            lines = tables.emit_sequences(args.a, args.b, args.half_weight, args.format)
-        _write(lines, args.out)
-        return 0
-
     if getattr(args, "k_min", 0) > getattr(args, "k_max", 0):
         parser.error("--k-min must not exceed --k-max")
+    if args.command == "table" and args.kind in ("table1", "counts") and args.n is None:
+        parser.error(f"table {args.kind} requires --n")
+    # opened before any work, so a path that cannot be written is a usage error
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.error(f"cannot open --out {args.out}: {exc.strerror or exc}")
 
-    if args.command == "table":
-        if args.kind in ("table1", "counts") and args.n is None:
-            parser.error(f"table {args.kind} requires --n")
-        _write(tables.emit_table(args.kind, args.format, **_params(args)), args.out)
-        return 0
-
-    return _run_verify(args)
+    with out as fh:
+        if args.command == "enumerate":
+            if args.what == "partitions":
+                parts_filter = "even-only" if args.even_only else "any"
+                lines = tables.emit_partitions(args.n, args.max_part, parts_filter, args.format)
+            elif args.what == "strict":
+                lines = tables.emit_strict_partitions(args.n, args.parts, args.format)
+            else:
+                lines = tables.emit_sequences(args.a, args.b, args.half_weight, args.format)
+            _write(lines, fh)
+            return 0
+        if args.command == "table":
+            _write(tables.emit_table(args.kind, args.format, **_params(args)), fh)
+            return 0
+        return _run_verify(args, fh)
 
 
 def run() -> None:

@@ -12,7 +12,6 @@ plain recursive definitions they replace.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -55,10 +54,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def part(self, i: int) -> int:
-        """1-based part access, 0 beyond the last part."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
     def __len__(self) -> int:
         return len(self.parts)
 
@@ -74,10 +69,6 @@ class StrictPartition(Partition):
         for i in range(1, len(self.parts)):
             if self.parts[i - 1] <= self.parts[i]:
                 raise ValueError("parts must be strictly decreasing")
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
 
 
 @dataclass(frozen=True)
@@ -271,7 +262,6 @@ def enumerate_strict_partitions(
 
 
 _count_cache = [1]
-_count_lock = threading.Lock()
 
 
 def partition_count(n: int) -> int:
@@ -282,23 +272,22 @@ def partition_count(n: int) -> int:
     """
     if n < 0:
         return 0
-    with _count_lock:
-        while len(_count_cache) <= n:
-            m = len(_count_cache)
-            total = 0
-            k = 1
-            while True:
-                g = k * (3 * k - 1) // 2
-                if g > m:
-                    break
-                sign = 1 if k % 2 else -1
+    while len(_count_cache) <= n:
+        m = len(_count_cache)
+        total = 0
+        k = 1
+        while True:
+            g = k * (3 * k - 1) // 2
+            if g > m:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * _count_cache[m - g]
+            g += k  # second pentagonal number k(3k+1)/2
+            if g <= m:
                 total += sign * _count_cache[m - g]
-                g += k  # second pentagonal number k(3k+1)/2
-                if g <= m:
-                    total += sign * _count_cache[m - g]
-                k += 1
-            _count_cache.append(total)
-        return _count_cache[n]
+            k += 1
+        _count_cache.append(total)
+    return _count_cache[n]
 
 
 def bg_rank(p: Partition | tuple[int, ...]) -> int:

@@ -1,8 +1,8 @@
 """Counting functions read off exact truncated power series.
 
 A series truncated at q^N is a list of its N + 1 coefficients, plain Python
-integers, so arithmetic is exact at any size.  Both generating functions
-here are built only from factors 1/(1 - q^e), so dividing a list by
+integers, so arithmetic is exact at any size.  The sequence generating
+function is built only from factors 1/(1 - q^e), so dividing a list by
 (1 - q^e) in place is the one series operation the module needs.
 """
 
@@ -16,7 +16,6 @@ __all__ = [
     "CoeffTable",
     "gf_coefficients",
     "strict_count_by_rank",
-    "strict_rank_gf",
 ]
 
 
@@ -97,20 +96,3 @@ def strict_count_by_rank(rank: int, n: int) -> int:
     if leftover < 0 or leftover % 2:
         return 0
     return partition_count(leftover // 2)
-
-
-def strict_rank_gf(rank: int, trunc_order: int) -> tuple[int, ...]:
-    """Weight generating function for strict partitions of a fixed BG-rank.
-
-    The coefficients of q^0 .. q^trunc_order of q^w over the product of
-    (1 - q^(2i)), w the weight of the rank's staircase; factors with 2i
-    beyond the truncation order cannot contribute and are left out.  All
-    zero when the staircase alone exceeds the order.
-    """
-    c = [0] * (trunc_order + 1)
-    shift = rank_staircase(rank)[1]
-    if shift <= trunc_order:
-        c[shift] = 1
-        for i in range(1, trunc_order // 2 + 1):
-            _divide(c, 2 * i)
-    return tuple(c)

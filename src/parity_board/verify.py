@@ -330,12 +330,7 @@ def _gf_cell(cell: tuple[int, int, int, int]) -> CellResult:
 def verify_gf(a_max: int = 4, b_max: int = 8, trunc: int = 15, jobs: int = 1) -> VerificationReport:
     """Compare every coefficient-table cell against direct enumeration."""
     table = gf_coefficients(a_max, b_max, trunc)
-    cells = [
-        (a, b, n, table.entry(a, b, n))
-        for a in range(a_max + 1)
-        for b in range(b_max + 1)
-        for n in range(trunc + 1)
-    ]
+    cells = [cell + (value,) for cell, value in table.cells()]
     params = {"a_max": a_max, "b_max": b_max, "trunc": trunc}
     return _sweep("sequence-gf", _gf_cell, cells, params, jobs)
 

@@ -8,6 +8,7 @@ from parity_board.abseq import (
     NonzeroAlternatingSum,
     NotWeaklyDecreasing,
     PreconditionViolated,
+    alternating_sum,
     check_pairing_property,
     check_prefix_sign_property,
     enumerate_sequences,
@@ -28,8 +29,8 @@ def entries_of(seqs):
 class TestValidate:
     def test_long_example(self):
         d = validate([7, 8, 9, 10, 11, 11, 8, 7, 5, 5, 4, 3, 1, 1])
-        assert (d.a, d.b, d.length, d.weight) == (6, 5, 14, 90)
-        assert d.alt_sum == 0
+        assert (d.a, d.b, len(d), d.weight) == (6, 5, 14, 90)
+        assert alternating_sum(d.entries) == 0
 
     def test_short_example(self):
         d = validate([2, 3, 1])
@@ -41,7 +42,7 @@ class TestValidate:
 
     def test_empty(self):
         d = validate([])
-        assert (d.a, d.b, d.length, d.weight, d.alt_sum) == (0, 0, 0, 0, 0)
+        assert (d.a, d.b, len(d), d.weight, alternating_sum(d.entries)) == (0, 0, 0, 0, 0)
         assert d == EMPTY_SEQUENCE
         assert str(d) == "{}"
 
@@ -165,7 +166,7 @@ class TestStructuralProperties:
         for a, b, n in GRID:
             for d in enumerate_sequences(a, b, n):
                 sums = d.prefix_alt_sums()
-                for m in range(max(d.b - 1, 0), d.length + 1):
+                for m in range(max(d.b - 1, 0), len(d) + 1):
                     if sums[m] == 0:
                         assert check_pairing_property(d, m)
 

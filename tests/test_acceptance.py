@@ -14,9 +14,9 @@ from parity_board.abseq import (
     validate,
 )
 from parity_board.bijections import (
-    count_strict_by_parts_rank,
     count_strict_by_parts_rank_formula,
     partition_from_sequence,
+    rank_histogram,
     sequence_from_partition,
 )
 from parity_board.cli import main
@@ -97,7 +97,7 @@ def test_criterion_06_counts_by_parts_and_rank():
     with criterion(6, "counts by (parts, rank), |k|<=3 m<=8 n<=30", budget=60.0):
         spots = [(3, 6, 33, 3), (2, 3, 16, 5), (0, 3, 12, 4), (-1, 2, 11, 3)]
         for k, m, n, expected in spots:
-            assert count_strict_by_parts_rank(k, m, n) == expected
+            assert rank_histogram(m, n)[k] == expected
             assert count_strict_by_parts_rank_formula(k, m, n) == expected
         report = verify_theorem34(-3, 3, 8, 30)
         assert report.passed
@@ -145,6 +145,6 @@ def test_criterion_10_sign_and_pairing_properties():
                     for d in enumerate_sequences(a, b, n):
                         assert check_prefix_sign_property(d)
                         sums = d.prefix_alt_sums()
-                        for m in range(max(d.b - 1, 0), d.length + 1):
+                        for m in range(max(d.b - 1, 0), len(d) + 1):
                             if sums[m] == 0:
                                 assert check_pairing_property(d, m)

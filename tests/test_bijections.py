@@ -8,12 +8,12 @@ from parity_board.bijections import (
     NotInDurfeeClass,
     NotInSplitImage,
     StaircaseSplit,
-    count_strict_by_parts_rank,
     count_strict_by_parts_rank_formula,
     durfee_class,
     is_valid_split,
     partition_from_sequence,
     partition_from_sequence_by_filling,
+    rank_histogram,
     sequence_from_partition,
     split_strict,
     unsplit_strict,
@@ -95,7 +95,7 @@ class TestInverseMap:
         for n in range(11):
             for p in enumerate_partitions(n):
                 for a in range(4):
-                    if p.part(1) > a:
+                    if max(p.parts, default=0) > a:
                         d = sequence_from_partition(a, p)
                         assert partition_from_sequence(a, d) == p
 
@@ -126,7 +126,7 @@ class TestDurfeeClass:
         for a in range(4):
             for n in range(13):
                 for p in enumerate_partitions(n):
-                    if p.part(1) > a:
+                    if max(p.parts, default=0) > a:
                         assert durfee_class(p.parts, a) == sequence_from_partition(a, p).b
                     else:
                         assert durfee_class(p.parts, a) == 0
@@ -271,28 +271,27 @@ class TestCountsByPartsAndRank:
         [(3, 6, 33, 3), (2, 3, 16, 5), (0, 3, 12, 4), (-1, 2, 11, 3)],
     )
     def test_spot_counts(self, k, m, n, expected):
-        assert count_strict_by_parts_rank(k, m, n) == expected
+        assert rank_histogram(m, n)[k] == expected
         assert count_strict_by_parts_rank_formula(k, m, n) == expected
 
     def test_grid_equality(self):
         for k in range(-2, 3):
             for m in range(1, 7):
                 for n in range(21):
-                    assert count_strict_by_parts_rank(
-                        k, m, n
-                    ) == count_strict_by_parts_rank_formula(k, m, n)
+                    assert rank_histogram(m, n)[k] == count_strict_by_parts_rank_formula(k, m, n)
 
     def test_too_light_grid_is_zero(self):
         for m in range(1, 7):
             for n in range(m * (m + 1) // 2):
                 for k in range(-3, 4):
-                    assert count_strict_by_parts_rank(k, m, n) == 0
+                    assert rank_histogram(m, n)[k] == 0
                     assert count_strict_by_parts_rank_formula(k, m, n) == 0
 
     def test_out_of_range_parameters_count_zero(self):
         assert count_strict_by_parts_rank_formula(3, 2, 33) == 0
         assert count_strict_by_parts_rank_formula(-2, 3, 20) == 0
         assert count_strict_by_parts_rank_formula(1, 1, 4) == 0  # odd leftover
+        assert count_strict_by_parts_rank_formula(0, -1, 0) == 0  # fewer parts than the staircase
 
 
 SEQUENCE_POOL = [

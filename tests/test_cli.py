@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import parity_board
+from parity_board import tables, verify
 from parity_board.cli import main
 from parity_board.qseries import gf_coefficients
 
@@ -191,6 +192,27 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == TABLE1_N7
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (("verify-iota", "--n-max", "10"), (verify, "_sweep")),
+        (("table", "table1", "--n", "7"), (tables, "emit_table")),
+        (("enumerate", "partitions", "--n", "5"), (tables, "emit_partitions")),
+    ],
+    ids=["verify", "table", "enumerate"],
+)
+def test_unopenable_out_is_usage_error_before_any_work(tmp_path, monkeypatch, argv, runs):
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before --out was opened")
+
+    monkeypatch.setattr(*runs, never)
+    target = tmp_path / "missing" / "x.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(target)])
+    assert exc.value.code == 2
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("to_file", [False, True])

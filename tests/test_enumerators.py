@@ -8,7 +8,7 @@ list, order included.
 import pytest
 
 from parity_board.abseq import alternating_sum, sequence_tails
-from parity_board.bijections import count_strict_by_parts_rank
+from parity_board.bijections import rank_histogram
 from parity_board.partitions import (
     _descending,
     _strict_descending,
@@ -92,7 +92,7 @@ def test_memoized_rank_counts_match_direct_filter():
                 direct = sum(
                     1 for s in enumerate_strict_partitions(n, num_parts=m) if bg_rank(s) == k
                 )
-                assert count_strict_by_parts_rank(k, m, n) == direct, (k, m, n)
+                assert rank_histogram(m, n)[k] == direct, (k, m, n)
 
 
 def test_bg_rank_reads_tuples_and_partitions_alike():

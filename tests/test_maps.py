@@ -81,15 +81,16 @@ def reference_sequence_from_partition(a, p):
     num_rows = len(p.parts)
     width = p.parts[0]
     max_block = max(2 * num_rows - 1, 2 * (width - a - 1))
+    rows = p.parts + (0,) * max_block  # row j is rows[j - 1], 0 past the last part
     confined = []
     for i in range(1, max_block + 1):
         if i % 2:
             j = (i + 1) // 2
-            confined.append(min(p.part(j), a + j))
+            confined.append(min(rows[j - 1], a + j))
         else:
             half = i // 2
             col = a + half + 1
-            confined.append(sum(1 for row in range(1, half + 1) if p.part(row) >= col))
+            confined.append(sum(1 for row in range(1, half + 1) if rows[row - 1] >= col))
     confined.append(0)
     last = max(i for i, c in enumerate(confined, start=1) if c > 0)
     entries = [confined[0]]
@@ -126,8 +127,8 @@ def reference_in_durfee_class(p, a, b):
     if reference_durfee_rectangle(p, a).rows != depth:
         return False
     if b % 2 == 0:
-        return p.part(depth) > a + depth
-    return p.part(depth) == a + depth
+        return p.parts[depth - 1] > a + depth
+    return p.parts[depth - 1] == a + depth
 
 
 def _outcome(fn, *args):

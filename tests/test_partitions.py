@@ -41,11 +41,11 @@ class TestTypes:
     def test_empty_partition(self):
         assert Partition(()).weight == 0
         assert str(Partition(())) == "0"
-        assert StrictPartition(()).num_parts == 0
+        assert len(StrictPartition(())) == 0
 
     def test_part_accessor(self):
         p = Partition((5, 2))
-        assert (p.part(1), p.part(2), p.part(3)) == (5, 2, 0)
+        assert (p.parts[0], p.parts[1], len(p)) == (5, 2, 2)
 
 
 class TestEnumeratePartitions:
@@ -172,7 +172,7 @@ class TestColumns:
             for s in enumerate_strict_partitions(n):
                 c = columns(s)
                 m = c.staircase_height
-                assert m == s.num_parts
+                assert m == len(s)
                 assert all(c.cols[i] == i + 1 for i in range(m))
                 tail = c.cols[max(m - 1, 0):]
                 assert all(x >= y for x, y in zip(tail, tail[1:]))
@@ -221,7 +221,7 @@ class TestDurfee:
         for n in range(13):
             for p in enumerate_partitions(n):
                 for a in range(7):
-                    assert (durfee_class(p.parts, a) > 0) == (p.part(1) > a)
+                    assert (durfee_class(p.parts, a) > 0) == (max(p.parts, default=0) > a)
 
     def test_rows_weakly_decreasing_in_offset(self):
         for n in range(13):

@@ -13,12 +13,11 @@ from parity_board.qseries import (
     _divide,
     gf_coefficients,
     strict_count_by_rank,
-    strict_rank_gf,
 )
 
 
-# The two generating functions expanded as products of truncated series, on
-# plain coefficient tuples: the reference the division kernel is held to.
+# The sequence generating function expanded as products of truncated series,
+# on plain coefficient tuples: the reference the division kernel is held to.
 def _one(order):
     return (1,) + (0,) * order
 
@@ -82,14 +81,6 @@ def _reference_entries(max_a, max_b, order):
                 accumulate(a, 2 * h, _mul(_mul(base, _monomial(order, h)), shared))
             h += 1
     return entries
-
-
-def _reference_strict_rank_gf(rank, order):
-    shift = rank * (2 * rank - 1)
-    prod = _one(order)
-    for i in range(1, order // 2 + 1):
-        prod = _mul(prod, _sub(_one(order), _monomial(order, 2 * i)))
-    return _mul(_monomial(order, shift), _reciprocal(prod))
 
 
 class TestSeriesArithmetic:
@@ -179,7 +170,7 @@ class TestCoefficientTable:
         for a in range(4):
             for n in range(11):
                 total = sum(table.entry(a, b, n) for b in range(1, 9))
-                wide = sum(1 for p in enumerate_partitions(n) if p.part(1) > a)
+                wide = sum(1 for p in enumerate_partitions(n) if max(p.parts, default=0) > a)
                 assert total == wide
 
     def test_out_of_range_entry(self):
@@ -223,28 +214,3 @@ class TestStrictCountByRank:
             for rank in range(-4, 5):
                 brute = sum(1 for s in stricts if bg_rank(s) == rank)
                 assert strict_count_by_rank(rank, n) == brute
-
-
-class TestStrictRankGf:
-    def test_rank_zero_coefficient(self):
-        assert strict_rank_gf(0, 8)[4] == 2
-
-    def test_rank_one_coefficient(self):
-        assert strict_rank_gf(1, 8)[7] == 3
-
-    def test_heavy_staircase_gives_zero_series(self):
-        assert strict_rank_gf(3, 8) == (0,) * 9
-        assert strict_rank_gf(-3, 14) == (0,) * 15
-
-    def test_coefficients_match_counts(self):
-        for rank in range(-3, 4):
-            series = strict_rank_gf(rank, 30)
-            for n in range(31):
-                assert series[n] == strict_count_by_rank(rank, n)
-
-    def test_matches_product_expansion(self):
-        for rank in range(-5, 6):
-            series = strict_rank_gf(rank, 60)
-            assert series == _reference_strict_rank_gf(rank, 60)
-            for order in range(61):
-                assert strict_rank_gf(rank, order) == series[: order + 1]
