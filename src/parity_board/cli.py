@@ -2,9 +2,11 @@
 
 Exit codes: 0 when every check passes, 1 when a verification finds any
 mismatch, 2 on usage or parameter errors, among them an ``--out`` file that
-cannot be opened.  Data rows go to stdout (or the ``--out`` file); the
-``verify-*`` subcommands also write a one-line timing summary to stderr, so
-the data stream stays byte-stable.
+cannot be opened and a ``table`` bound its kind does not read, and 3 when
+the output cannot be written, as to a full disk or a closed pipe (with one
+``parity-board: cannot write output`` line on stderr).  Data rows go to
+stdout (or the ``--out`` file); the ``verify-*`` subcommands also write a
+one-line timing summary to stderr, so the data stream stays byte-stable.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
+import os
 import sys
 from itertools import islice
 from typing import Callable, Iterable, Optional, TextIO
@@ -96,11 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_output_flags(p)
 
     p = sub.add_parser("table", help="emit a named table")
-    p.add_argument("kind", choices=tables.TABLE_KINDS)
-    p.add_argument("--n", type=_nonnegative, default=None, help="bound for table1 and counts")
-    _add_sweep_flags(p, verify.verify_gf)
-    _add_sweep_flags(p, verify.verify_theorem34)
-    _add_output_flags(p)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, sweep in tables.TABLE_KINDS.items():
+        pt = kinds.add_parser(kind)
+        if sweep is None:
+            pt.add_argument("--n", type=_nonnegative, required=True)
+        else:
+            _add_sweep_flags(pt, getattr(verify, sweep))
+        _add_output_flags(pt)
 
     return parser
 
@@ -121,27 +127,11 @@ def _params(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "kind", "format", "out")}
 
 
-def _run_verify(args: argparse.Namespace, fh: TextIO) -> int:
-    sweep = getattr(verify, verify.SWEEPS[args.command][0])
-    report = sweep(**_params(args))
-    lines = report.tsv_lines() if args.format == "tsv" else report.json_lines()
-    _write(lines, fh)
-    print(
-        f"# {report.subject}: {report.checks_run} checks, "
-        f"{len(report.mismatches)} mismatches, {report.skipped} skipped "
-        f"in {report.elapsed:.2f}s",
-        file=sys.stderr,
-    )
-    return report.exit_code
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "k_min", 0) > getattr(args, "k_max", 0):
         parser.error("--k-min must not exceed --k-max")
-    if args.command == "table" and args.kind in ("table1", "counts") and args.n is None:
-        parser.error(f"table {args.kind} requires --n")
     # opened before any work, so a path that cannot be written is a usage error
     try:
         out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
@@ -149,6 +139,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error(f"cannot open --out {args.out}: {exc.strerror or exc}")
 
     with out as fh:
+        report = None
         if args.command == "enumerate":
             if args.what == "partitions":
                 parts_filter = "even-only" if args.even_only else "any"
@@ -157,12 +148,29 @@ def main(argv: Optional[list[str]] = None) -> int:
                 lines = tables.emit_strict_partitions(args.n, args.parts, args.format)
             else:
                 lines = tables.emit_sequences(args.a, args.b, args.half_weight, args.format)
+        elif args.command == "table":
+            lines = tables.emit_table(args.kind, args.format, **_params(args))
+        else:
+            report = getattr(verify, verify.SWEEPS[args.command][0])(**_params(args))
+            lines = report.tsv_lines() if args.format == "tsv" else report.json_lines()
+        # Rows are made as they are written, but making them does no I/O, so
+        # an OSError here comes from writing the output.
+        try:
             _write(lines, fh)
-            return 0
-        if args.command == "table":
-            _write(tables.emit_table(args.kind, args.format, **_params(args)), fh)
-            return 0
-        return _run_verify(args, fh)
+            fh.flush()
+        except OSError as exc:
+            # What is still buffered goes to the null device, so neither the
+            # close nor the interpreter's last flush of stdout raises again.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fh.fileno())
+            os.close(null)
+            print(f"parity-board: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+            return 3
+    if report is None:
+        return 0
+    summary = f"{report.checks_run} checks, {len(report.mismatches)} mismatches, {report.skipped} skipped"
+    print(f"# {report.subject}: {summary} in {report.elapsed:.2f}s", file=sys.stderr)
+    return report.exit_code
 
 
 def run() -> None:

@@ -30,12 +30,14 @@ __all__ = [
 ]
 
 FORMATS = ("tsv", "json-lines")
-TABLE_KINDS = ("table1", "s-coeffs", "theorem34", "counts")
+# Table kind -> name of the sweep in ``verify`` whose grid parameters (and
+# defaults) it reads, or None for a kind that reads only the weight ``n``.
+TABLE_KINDS = {"table1": None, "s-coeffs": "verify_gf", "theorem34": "verify_theorem34", "counts": None}
 
 
 def _emit(rows: Iterable, fmt: str, tsv: Callable[..., str], record: Callable[..., dict]) -> Iterator[str]:
     """Format each row as the TSV line ``tsv(row)`` or the JSON record
-    ``record(row)``, for every table and enumeration (``cli._run_verify`` formats reports)."""
+    ``record(row)``, for every table and enumeration (a report formats its own lines)."""
     if fmt == "tsv":
         return map(tsv, rows)
     if fmt == "json-lines":
@@ -57,12 +59,8 @@ def _parts_record(obj) -> dict:
 
 
 def emit_table(kind: str, fmt: str = "tsv", **params: Optional[int]) -> Iterator[str]:
-    """Rows of the named table as formatted lines; see TABLE_KINDS.
-
-    ``params`` may hold more bounds than the kind uses: table1 and counts
-    read ``n``, s-coeffs the parameters of ``verify_gf`` and theorem34 those
-    of ``verify_theorem34``.
-    """
+    """Rows of the named table as formatted lines, from the bounds
+    ``TABLE_KINDS`` names for ``kind``."""
     if kind == "table1":
         rows = ((s, split_strict(s)) for s in enumerate_strict_partitions(params["n"]))
         return _emit(

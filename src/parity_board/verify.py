@@ -4,7 +4,7 @@ Every sweep walks a parameter grid in canonical order, returning a
 :class:`VerificationReport`.  Cells are independent pure computations, so a
 grid may be sharded across W processes: the parent maps the strided share
 ``cells[0::W]`` itself and forks a child for each other share ``cells[w::W]``
-(serial where ``os.fork`` is missing).  Results merge in grid order and the
+(W = 1 where ``os.fork`` is missing).  Results merge in grid order and the
 serialized report is byte-identical for any worker count.  Wall time is
 kept on the report but deliberately left out of the serialization.
 """
@@ -102,22 +102,9 @@ class VerificationReport:
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
-    def tsv_lines(self) -> Iterator[str]:
-        yield f"subject\t{self.subject}"
-        yield "params\t" + " ".join(f"{k}={v}" for k, v in self.params.items())
-        yield f"checks\t{self.checks_run}"
-        yield f"skipped\t{self.skipped}"
-        yield f"mismatches\t{len(self.mismatches)}"
-        yield f"status\t{'pass' if self.passed else 'fail'}"
-        if self.vacuous:
-            yield "vacuous\t1"
-        for m in self.mismatches:
-            where = " ".join(f"{k}={v}" for k, v in m.where.items())
-            yield f"mismatch\t{m.law}\t{where}\texpected={m.expected}\tactual={m.actual}"
-
-    def json_lines(self) -> Iterator[str]:
+    def _head(self) -> dict:
+        """The report's fields, in the order the TSV head lists them."""
         head = {
-            "record": "report",
             "subject": self.subject,
             "params": self.params,
             "checks": self.checks_run,
@@ -127,19 +114,29 @@ class VerificationReport:
         }
         if self.vacuous:
             head["vacuous"] = True
-        yield canonical_json(head)
+        return head
+
+    def tsv_lines(self) -> Iterator[str]:
+        for key, value in self._head().items():
+            if key == "params":
+                value = _pairs(value)
+            yield f"{key}\t{int(value) if value is True else value}"  # vacuous reads 1
         for m in self.mismatches:
-            rec = {
-                "record": "mismatch",
-                "law": m.law,
-                "where": m.where,
-                "expected": m.expected,
-                "actual": m.actual,
-            }
-            yield canonical_json(rec)
+            yield f"mismatch\t{m.law}\t{_pairs(m.where)}\texpected={m.expected}\tactual={m.actual}"
+
+    def json_lines(self) -> Iterator[str]:
+        yield canonical_json({"record": "report", **self._head()})
+        for m in self.mismatches:
+            yield canonical_json({"record": "mismatch", **vars(m)})
 
 
-CellResult = tuple[int, int, list[Mismatch]]
+def _pairs(fields: dict) -> str:
+    """``k=v`` for each field, space-separated, as a TSV line shows a dict."""
+    return " ".join(f"{k}={v}" for k, v in fields.items())
+
+
+# What a cell returns: (checks run, mismatches found).
+CellResult = tuple[int, list[Mismatch]]
 
 
 def _usable_cpus() -> int:
@@ -188,54 +185,58 @@ def _reap(pid: int, rfd: int) -> tuple[int, bytes]:
 def _run_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
     """Map ``fn`` over ``cells`` preserving order, optionally in processes.
 
-    W = min(jobs, usable CPUs, cells) processes share the cells, and W is 1
-    where ``os.fork`` is missing.  Share w is ``cells[w::W]``: strided, so
-    neighbouring cells, which cost about the same, go to different processes
-    and no process gets the whole heavy tail of the grid.  The parent is one
-    of the W processes and maps share 0 itself; each of W − 1 forked children
-    maps one share and sends its results back pickled through a pipe.  Every
-    child is reaped before this returns.  An exception a cell raised in a
+    W = min(jobs, usable CPUs, cells), at least 1, processes share the cells,
+    and W is 1 where ``os.fork`` is missing.  Share w is ``cells[w::W]``:
+    strided, so neighbouring cells, which cost about the same, go to
+    different processes and no process gets the whole heavy tail of the grid.
+    The parent is one of the W processes and maps share 0 itself, which is
+    every cell when W is 1; each of W − 1 forked children maps one share and
+    sends its results back pickled through a pipe.  Every child is reaped
+    before this returns.  An exception a cell raised in a
     child is raised again here, and a child that dies is an error naming its
     exit status.
     """
-    workers = min(jobs, _usable_cpus(), len(cells)) if hasattr(os, "fork") else 1
+    workers = max(1, min(jobs, _usable_cpus(), len(cells))) if hasattr(os, "fork") else 1
     if workers > 1:
         import pickle  # before the fork, so the children inherit it
-
-        children = []
-        out = [None] * len(cells)
-        try:
-            for w in range(1, workers):
-                rfd, wfd = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _map_share_and_exit(fn, cells[w::workers], rfd, wfd)
-                os.close(wfd)
-                children.append((pid, rfd))
-            out[0::workers] = [fn(cell) for cell in cells[0::workers]]
-        finally:
-            replies = [_reap(pid, rfd) for pid, rfd in children]
-        for w, (status, reply) in enumerate(replies, 1):
-            if status:
-                raise RuntimeError(f"sweep process for share {w} of {workers} exited with status {status}")
-            ok, value = pickle.loads(reply)
-            if not ok:
-                raise value
-            out[w::workers] = value
-        return out
-    return [fn(cell) for cell in cells]
+    children = []
+    out = [None] * len(cells)
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _map_share_and_exit(fn, cells[w::workers], rfd, wfd)
+            os.close(wfd)
+            children.append((pid, rfd))
+        out[0::workers] = [fn(cell) for cell in cells[0::workers]]
+    finally:
+        replies = [_reap(pid, rfd) for pid, rfd in children]
+    for w, (status, reply) in enumerate(replies, 1):
+        if status:
+            raise RuntimeError(f"sweep process for share {w} of {workers} exited with status {status}")
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        out[w::workers] = value
+    return out
 
 
 def _sweep(
-    subject: str, cell: Callable[..., CellResult], cells: Sequence, params: dict[str, int], jobs: int
+    subject: str, cell: Callable[..., CellResult], cells: Sequence, params: dict, jobs: int, skipped: int = 0
 ) -> VerificationReport:
-    """Run ``cell`` over ``cells`` and merge the results in grid order."""
+    """Run ``cell`` over ``cells`` and merge the results in grid order;
+    ``skipped`` counts the cells the grid left out."""
     t0 = time.perf_counter()
     results = _run_cells(cell, cells, jobs)
     checks = sum(r[0] for r in results)
-    skipped = sum(r[1] for r in results)
-    mismatches = [m for r in results for m in r[2]]
+    mismatches = [m for r in results for m in r[1]]
     return VerificationReport(subject, params, checks, mismatches, skipped, time.perf_counter() - t0)
+
+
+def _compared(law: str, where: dict[str, object], expected, actual) -> list[Mismatch]:
+    """``[]`` when ``actual`` equals ``expected``, else the one mismatch showing both."""
+    return [] if expected == actual else [Mismatch(law, where, str(expected), str(actual))]
 
 
 def _outcome(fn: Callable, *args):
@@ -281,12 +282,8 @@ def _phi_cell(cell: tuple[int, int, int, int]) -> CellResult:
         filled = _outcome(partition_from_sequence_by_filling, a, seq)
         if filled != lam:
             miss("board-oracle", seq, str(lam), _shown(filled))
-    checks += 1
-    if members != len(seqs):
-        bad.append(
-            Mismatch("cardinality", {"a": a, "b": b, "n": n}, str(members), str(len(seqs)))
-        )
-    return checks, 0, bad
+    bad += _compared("cardinality", {"a": a, "b": b, "n": n}, members, len(seqs))
+    return checks + 1, bad
 
 
 def verify_bijection_phi(a_max: int = 3, b_max: int = 4, n_max: int = 12, jobs: int = 1) -> VerificationReport:
@@ -322,9 +319,7 @@ def _gf_cell(cell: tuple[int, int, int, int]) -> CellResult:
         count = 1 if (a, n) == (0, 0) else 0
     else:
         count = sum(1 for _ in sequence_tails(a, b, n))
-    if count != value:
-        return 1, 0, [Mismatch("coefficient", {"a": a, "b": b, "n": n}, str(count), str(value))]
-    return 1, 0, []
+    return 1, _compared("coefficient", {"a": a, "b": b, "n": n}, count, value)
 
 
 def verify_gf(a_max: int = 4, b_max: int = 8, trunc: int = 15, jobs: int = 1) -> VerificationReport:
@@ -404,10 +399,8 @@ def _iota_cell(n: int) -> CellResult:
         if back != s:
             miss("round-trip", s, str(s), _shown(back))
     images = [img for img in split_of.values() if not isinstance(img, Exception)]
-    checks += 1
     keys = {(img.triangular, img.seq.entries) for img in images}
-    if len(keys) != len(images):
-        bad.append(Mismatch("injectivity", {"n": n}, str(len(images)), str(len(keys))))
+    bad += _compared("injectivity", {"n": n}, len(images), len(keys))
     pairs = _admissible_splits(n)
     for img in pairs:
         checks += 1
@@ -419,10 +412,8 @@ def _iota_cell(n: int) -> CellResult:
             again = _stored_outcome(split_of, getattr(s, "parts", None), split_strict, s)
         if again != img:
             bad.append(Mismatch("completeness", {"n": n, "pair": str(img)}, str(img), _shown(again)))
-    checks += 1
-    if len(pairs) != len(stricts):
-        bad.append(Mismatch("pair-count", {"n": n}, str(len(stricts)), str(len(pairs))))
-    return checks, 0, bad
+    bad += _compared("pair-count", {"n": n}, len(stricts), len(pairs))
+    return checks + 2, bad
 
 
 def verify_iota(n_max: int = 25, jobs: int = 1) -> VerificationReport:
@@ -449,9 +440,7 @@ def _thm34_cell(cell: tuple[int, int, int, int]) -> CellResult:
     """Compare the enumerated count the cell carries with the closed form."""
     k, m, n, count = cell
     formula = count_strict_by_parts_rank_formula(k, m, n)
-    if count != formula:
-        return 1, 0, [Mismatch("count-equality", {"k": k, "m": m, "n": n}, str(count), str(formula))]
-    return 1, 0, []
+    return 1, _compared("count-equality", {"k": k, "m": m, "n": n}, count, formula)
 
 
 def verify_theorem34(
@@ -469,9 +458,7 @@ def _euler_cell(cell: tuple[int, int]) -> CellResult:
     (triangular, even-part partition) pairs the cell carries."""
     n, rhs = cell
     lhs = sum(1 for _ in strict_partition_tuples(n))
-    if lhs != rhs:
-        return 1, 0, [Mismatch("count-equality", {"n": n}, str(lhs), str(rhs))]
-    return 1, 0, []
+    return 1, _compared("count-equality", {"n": n}, lhs, rhs)
 
 
 def verify_euler_vandervelde(n_max: int = 40, jobs: int = 1) -> VerificationReport:
@@ -505,42 +492,34 @@ CONGRUENCE_FAMILIES: tuple[tuple[int, tuple[int, ...]], ...] = (
 )
 
 
-def _family_residue(rank: int) -> int | None:
-    for n_res, rank_residues in CONGRUENCE_FAMILIES:
-        if rank % 10 in rank_residues:
-            return n_res
-    return None
+# residue of the rank mod 10 -> residue of n mod 10 of its family
+_FAMILY_OF_RANK = {r: n_res for n_res, rank_residues in CONGRUENCE_FAMILIES for r in rank_residues}
 
 
 def _congruence_cell(cell: tuple[int, int]) -> CellResult:
     rank, n = cell
-    if n < rank_staircase(rank)[1]:
-        # identically zero by the weight bound; record as skipped
-        return 0, 1, []
-    checks = 1
-    bad: list[Mismatch] = []
+    where = {"rank": rank, "n": n}
     count = strict_count_by_rank(rank, n)
-    if count % 5:
-        bad.append(Mismatch("mod-5", {"rank": rank, "n": n}, "0 (mod 5)", f"{count}"))
-    if n <= 30:
-        checks += 1
-        brute = sum(1 for t in strict_partition_tuples(n) if bg_rank(t) == rank)
-        if brute != count:
-            bad.append(Mismatch("closed-form", {"rank": rank, "n": n}, str(brute), str(count)))
-    return checks, 0, bad
+    bad = [Mismatch("mod-5", where, "0 (mod 5)", f"{count}")] if count % 5 else []
+    if n > 30:
+        return 1, bad
+    brute = sum(1 for t in strict_partition_tuples(n) if bg_rank(t) == rank)
+    return 2, bad + _compared("closed-form", where, brute, count)
 
 
 def verify_congruences(n_max: int = 101, jobs: int = 1) -> VerificationReport:
     """Scan the six mod-5 families for ranks of absolute value at most 5.
 
-    Cells below the least admissible weight are skipped rather than passed
-    vacuously; where the weight also stays within brute-force range the
-    closed-form count is cross-checked against direct enumeration.
+    Cells below the least admissible weight, zero by the weight bound, are
+    left out of the grid and counted as skipped rather than passed vacuously;
+    where the weight also stays within brute-force range the closed-form
+    count is cross-checked against direct enumeration.
     """
-    cells = []
+    cells, skipped = [], 0
     for rank in range(-5, 6):
-        n_res = _family_residue(rank)
-        if n_res is None:
-            continue
-        cells.extend((rank, n) for n in range(n_res, n_max + 1, 10))
-    return _sweep("rank-count-congruences-mod5", _congruence_cell, cells, {"n_max": n_max}, jobs)
+        weights = range(_FAMILY_OF_RANK[rank % 10], n_max + 1, 10)
+        least = rank_staircase(rank)[1]
+        kept = [(rank, n) for n in weights if n >= least]
+        cells += kept
+        skipped += len(weights) - len(kept)
+    return _sweep("rank-count-congruences-mod5", _congruence_cell, cells, {"n_max": n_max}, jobs, skipped)

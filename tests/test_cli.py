@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 import parity_board
 from parity_board import tables, verify
-from parity_board.cli import main
+from parity_board.cli import build_parser, main
 from parity_board.qseries import gf_coefficients
 
 TABLE1_N7 = (
@@ -89,6 +90,27 @@ class TestTable:
         with pytest.raises(SystemExit) as exc:
             main(["table", "nonsense", "--n", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table1", "--n", "7", "--trunc", "3"),
+            ("counts", "--n", "5", "--k-min", "1"),
+            ("s-coeffs", "--n", "5"),
+            ("theorem34", "--trunc", "4"),
+        ],
+        ids=" ".join,
+    )
+    def test_bound_the_kind_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", *argv])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("kind, sweep", [("s-coeffs", verify.verify_gf), ("theorem34", verify.verify_theorem34)])
+    def test_kind_takes_the_bounds_and_defaults_of_its_sweep(self, kind, sweep):
+        args = vars(build_parser().parse_args(["table", kind]))
+        defaults = {k: p.default for k, p in inspect.signature(sweep).parameters.items() if k != "jobs"}
+        assert {k: args[k] for k in args if k not in ("command", "kind", "format", "out")} == defaults
 
 
 class TestEnumerate:
@@ -227,11 +249,15 @@ def test_output_longer_than_one_write_is_whole(tmp_path, capsys, to_file):
     assert (target.read_text(encoding="utf-8") if to_file else out) == expected
 
 
+def _fresh_env() -> dict[str, str]:
+    """The environment of a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(parity_board.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a new interpreter that imports this package."""
-    src = os.path.dirname(os.path.dirname(parity_board.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+    return subprocess.run([sys.executable, *args], env=_fresh_env(), capture_output=True, check=True)
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -252,3 +278,31 @@ def test_fresh_sharded_run_prints_the_serial_bytes():
     serial = _fresh_python(*argv, "--jobs", "1").stdout
     assert b"status\tpass" in serial
     assert _fresh_python(*argv, "--jobs", "2").stdout == serial
+
+
+@pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
+def test_unwritable_output_exits_3_without_a_traceback(sink):
+    """Output that cannot be written ends the run with one stderr line and
+    exit code 3, not a traceback and the code of a mismatch."""
+    if sink == "full-device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        argv = ("verify-iota", "--n-max", "10", "--out", "/dev/full")
+        run = subprocess.run([sys.executable, "-m", "parity_board", *argv], env=_fresh_env(), capture_output=True)
+        code, err = run.returncode, run.stderr
+    else:
+        argv = ("enumerate", "partitions", "--n", "40")  # about 0.9 MB, more than a pipe holds
+        with subprocess.Popen(
+            [sys.executable, "-m", "parity_board", *argv],
+            env=_fresh_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as child:
+            assert child.stdout.readline() == b"40\n"
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+    assert code == 3
+    assert b"Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith(b"parity-board: cannot write output: ")

@@ -6,9 +6,9 @@ stdout sha256 of a ``table`` or ``enumerate`` run and the ``checks`` count of
 a ``verify-*`` report.  This module runs the benchmark's ``pinned``
 invocations (the README command lines at their default bounds), the
 ``s-coeffs``, ``table1`` and ``theorem34`` tables of its ``emit`` workload,
-and its ``reach-tier`` phi, iota and thm34 sweeps, in-process and holds them
-to the same rules as the benchmark gate, so a change of output is caught by
-the ordinary test run.
+and all six of its ``reach-tier`` sweeps, in-process and holds them to the
+same rules as the benchmark gate, so a change of output is caught by the
+ordinary test run.
 """
 
 import hashlib
@@ -25,9 +25,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # The larger invocations that also run here: the series kernel at its largest,
 # the diagram maps (``columns``, ``from_columns``, phi and its inverse) and the
-# theorem 3.4 counts at the sizes the benchmark runs them.
+# theorem 3.4 counts at the sizes the benchmark runs them, and every sweep at
+# its reach-tier bounds.
 _EMIT_TABLES = (("table", "s-coeffs"), ("table", "table1"), ("table", "theorem34"))
-_REACH_SWEEPS = ("verify-phi", "verify-iota", "verify-thm34")
+_REACH_SWEEPS = ("verify-phi", "verify-gf", "verify-iota", "verify-thm34", "verify-euler", "verify-congruences")
 
 
 def _invocations() -> tuple[tuple[str, ...], ...]:

@@ -165,6 +165,7 @@ def _patch_cpus(monkeypatch, cpus):
         (3, 16, 10, [3]),  # the requested count when it is the smallest
         (64, None, 10, []),  # unknown CPU count: one CPU, no fork
         (64, 8, 1, []),  # a single cell never forks
+        (64, 8, 0, []),  # an empty grid forks nothing and maps to []
     ],
 )
 def test_worker_count_is_capped(monkeypatch, deadline, jobs, cpus, n_cells, workers):
