@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import inspect
 import os
+import stat
 import sys
 from itertools import islice
 from typing import Callable, Iterable, Optional, TextIO
@@ -36,16 +37,26 @@ def _positive(text: str) -> int:
     return value
 
 
-# Flag types of sweep parameters; every parameter not named here is nonnegative.
-_PARAM_TYPES: dict[str, Callable[[str], int]] = {"k_min": int, "k_max": int, "m_max": _positive}
+# Flag types of signature parameters; every parameter not named here is nonnegative.
+_PARAM_TYPES = {"k_min": int, "k_max": int, "m_max": _positive, "max_part": _positive, "b": _positive}
+_PARAM_HELP = {"even_only": "keep all-even partitions only", "parts": "exact number of parts"}
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser, sweep: Callable) -> None:
-    """One flag per grid parameter of ``sweep``, with the signature's default."""
-    for name, param in inspect.signature(sweep).parameters.items():
-        if name != "jobs":
-            flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, type=_PARAM_TYPES.get(name, _nonnegative), default=param.default)
+def _add_flags(p: argparse.ArgumentParser, fn: Callable) -> None:
+    """One flag per parameter of ``fn`` but ``jobs`` and ``fmt``: a parameter
+    without a default is a required flag, a ``False`` default is a switch,
+    and any other default is the flag's default."""
+    for name, param in inspect.signature(fn).parameters.items():
+        if name in ("jobs", "fmt"):
+            continue
+        flag, help_text = "--" + name.replace("_", "-"), _PARAM_HELP.get(name)
+        to_int = _PARAM_TYPES.get(name, _nonnegative)
+        if param.default is False:
+            p.add_argument(flag, action="store_true", help=help_text)
+        elif param.default is param.empty:
+            p.add_argument(flag, type=to_int, required=True, help=help_text)
+        else:
+            p.add_argument(flag, type=to_int, default=param.default, help=help_text)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -58,16 +69,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write rows to PATH instead of stdout")
 
 
-def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--jobs",
-        type=_positive,
-        default=1,
-        metavar="W",
-        help="shard the parameter grid over W worker processes",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parity-board",
@@ -76,26 +77,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list objects one per line")
-    what = p.add_subparsers(dest="what", required=True)
-    pp = what.add_parser("partitions", help="partitions of n")
-    pp.add_argument("--n", type=_nonnegative, required=True)
-    pp.add_argument("--max-part", type=_positive, default=None)
-    pp.add_argument("--even-only", action="store_true", help="keep all-even partitions only")
-    _add_output_flags(pp)
-    ps = what.add_parser("strict", help="strict partitions of n")
-    ps.add_argument("--n", type=_nonnegative, required=True)
-    ps.add_argument("--parts", type=_nonnegative, default=None, help="exact number of parts")
-    _add_output_flags(ps)
-    pq = what.add_parser("abseq", help="sequences with parameters (a, b) and weight 2n")
-    pq.add_argument("--a", type=_nonnegative, required=True)
-    pq.add_argument("--b", type=_positive, required=True)
-    pq.add_argument("--half-weight", type=_nonnegative, required=True, metavar="N")
-    _add_output_flags(pq)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, (name, help_text) in tables.ENUMERATIONS.items():
+        pe = kinds.add_parser(kind, help=help_text)
+        _add_flags(pe, getattr(tables, name))
+        _add_output_flags(pe)
 
     for command, (name, help_text) in verify.SWEEPS.items():
         p = sub.add_parser(command, help=help_text)
-        _add_sweep_flags(p, getattr(verify, name))
-        _add_jobs_flag(p)
+        _add_flags(p, getattr(verify, name))
+        p.add_argument(
+            "--jobs",
+            type=_positive,
+            default=1,
+            metavar="W",
+            help="shard the parameter grid over W worker processes",
+        )
         _add_output_flags(p)
 
     p = sub.add_parser("table", help="emit a named table")
@@ -105,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         if sweep is None:
             pt.add_argument("--n", type=_nonnegative, required=True)
         else:
-            _add_sweep_flags(pt, getattr(verify, sweep))
+            _add_flags(pt, getattr(verify, sweep))
         _add_output_flags(pt)
 
     return parser
@@ -123,7 +120,7 @@ def _write(lines: Iterable[str], fh: TextIO) -> None:
 
 
 def _params(args: argparse.Namespace) -> dict:
-    """The parsed grid parameters (and ``--jobs``), without the output flags."""
+    """The parsed parameters of the sweep, table or emitter, without the output flags."""
     return {k: v for k, v in vars(args).items() if k not in ("command", "kind", "format", "out")}
 
 
@@ -132,22 +129,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "k_min", 0) > getattr(args, "k_max", 0):
         parser.error("--k-min must not exceed --k-max")
-    # opened before any work, so a path that cannot be written is a usage error
+    # Opened before any work, so a path that cannot be written is a usage
+    # error, but not emptied: a run that fails or is stopped leaves it as it was.
     try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+        out = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         parser.error(f"cannot open --out {args.out}: {exc.strerror or exc}")
 
     with out as fh:
         report = None
         if args.command == "enumerate":
-            if args.what == "partitions":
-                parts_filter = "even-only" if args.even_only else "any"
-                lines = tables.emit_partitions(args.n, args.max_part, parts_filter, args.format)
-            elif args.what == "strict":
-                lines = tables.emit_strict_partitions(args.n, args.parts, args.format)
-            else:
-                lines = tables.emit_sequences(args.a, args.b, args.half_weight, args.format)
+            lines = getattr(tables, tables.ENUMERATIONS[args.kind][0])(fmt=args.format, **_params(args))
         elif args.command == "table":
             lines = tables.emit_table(args.kind, args.format, **_params(args))
         else:
@@ -156,6 +148,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Rows are made as they are written, but making them does no I/O, so
         # an OSError here comes from writing the output.
         try:
+            if args.out and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)  # the rows are ready: only now do the old ones go
             _write(lines, fh)
             fh.flush()
         except OSError as exc:

@@ -158,7 +158,7 @@ def _descending(n: int, max_part: int, unit: int = 1) -> Iterator[tuple[int, ...
 def partition_tuples(
     n: int,
     max_part: Optional[int] = None,
-    parts_filter: str = "any",
+    even_only: bool = False,
 ) -> Iterator[tuple[int, ...]]:
     """The part tuples of :func:`enumerate_partitions`, lazily and in the same
     order, without building objects; the arguments are checked at the call."""
@@ -166,10 +166,8 @@ def partition_tuples(
         raise ValueError("n must be nonnegative")
     if max_part is not None and max_part < 1:
         raise ValueError("max_part must be positive")
-    if parts_filter not in ("any", "even-only"):
-        raise ValueError(f"unknown parts_filter {parts_filter!r}")
     bound = n if max_part is None else max_part
-    if parts_filter == "any":
+    if not even_only:
         return _descending(n, bound)
     return _descending(n, bound, unit=2) if n % 2 == 0 else iter(())
 
@@ -177,15 +175,15 @@ def partition_tuples(
 def enumerate_partitions(
     n: int,
     max_part: Optional[int] = None,
-    parts_filter: str = "any",
+    even_only: bool = False,
 ) -> list[Partition]:
     """All partitions of ``n``, reverse-lexicographic on part tuples.
 
-    ``max_part`` bounds the largest part.  ``parts_filter`` is ``"any"`` or
-    ``"even-only"`` (keep partitions all of whose parts are even).  The order
-    is fixed so emitted tables are byte-stable.
+    ``max_part`` bounds the largest part.  With ``even_only``, only the
+    partitions all of whose parts are even are kept.  The order is fixed so
+    emitted tables are byte-stable.
     """
-    return [Partition(t) for t in partition_tuples(n, max_part, parts_filter)]
+    return [Partition(t) for t in partition_tuples(n, max_part, even_only)]
 
 
 def _strict_descending(

@@ -23,6 +23,7 @@ from .verify import canonical_json, theorem34_cells
 __all__ = [
     "FORMATS",
     "TABLE_KINDS",
+    "ENUMERATIONS",
     "emit_table",
     "emit_partitions",
     "emit_strict_partitions",
@@ -33,6 +34,13 @@ FORMATS = ("tsv", "json-lines")
 # Table kind -> name of the sweep in ``verify`` whose grid parameters (and
 # defaults) it reads, or None for a kind that reads only the weight ``n``.
 TABLE_KINDS = {"table1": None, "s-coeffs": "verify_gf", "theorem34": "verify_theorem34", "counts": None}
+# ``enumerate`` kind -> (name of its emitter in this module, help text).
+# Each emitter's signature declares the kind's flags and defaults.
+ENUMERATIONS: dict[str, tuple[str, str]] = {
+    "partitions": ("emit_partitions", "partitions of n"),
+    "strict": ("emit_strict_partitions", "strict partitions of n"),
+    "abseq": ("emit_sequences", "sequences with parameters (a, b) and weight 2n"),
+}
 
 
 def _emit(rows: Iterable, fmt: str, tsv: Callable[..., str], record: Callable[..., dict]) -> Iterator[str]:
@@ -92,17 +100,16 @@ def emit_table(kind: str, fmt: str = "tsv", **params: Optional[int]) -> Iterator
 
 
 def emit_partitions(
-    n: int, max_part: Optional[int], parts_filter: str, fmt: str
+    n: int, max_part: Optional[int] = None, even_only: bool = False, fmt: str = "tsv"
 ) -> Iterator[str]:
-    rows = enumerate_partitions(n, max_part=max_part, parts_filter=parts_filter)
-    return _emit(rows, fmt, str, _parts_record)
+    return _emit(enumerate_partitions(n, max_part, even_only), fmt, str, _parts_record)
 
 
-def emit_strict_partitions(n: int, num_parts: Optional[int], fmt: str) -> Iterator[str]:
-    return _emit(enumerate_strict_partitions(n, num_parts=num_parts), fmt, str, _parts_record)
+def emit_strict_partitions(n: int, parts: Optional[int] = None, fmt: str = "tsv") -> Iterator[str]:
+    return _emit(enumerate_strict_partitions(n, num_parts=parts), fmt, str, _parts_record)
 
 
-def emit_sequences(a: int, b: int, half_weight: int, fmt: str) -> Iterator[str]:
+def emit_sequences(a: int, b: int, half_weight: int, fmt: str = "tsv") -> Iterator[str]:
     return _emit(
         enumerate_sequences(a, b, half_weight),
         fmt,

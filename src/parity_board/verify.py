@@ -469,7 +469,7 @@ def verify_euler_vandervelde(n_max: int = 40, jobs: int = 1) -> VerificationRepo
     counted once, in this process, and each cell carries the number of pairs
     of its weight; the cell enumerates only the strict side.
     """
-    evens = [sum(1 for _ in partition_tuples(m, parts_filter="even-only")) for m in range(n_max + 1)]
+    evens = [sum(1 for _ in partition_tuples(m, even_only=True)) for m in range(n_max + 1)]
     pairs = [0] * (n_max + 1)
     k = 0
     while (t := k * (k + 1) // 2) <= n_max:

@@ -118,7 +118,7 @@ def test_criterion_08_strict_vs_triangular_plus_even():
     with criterion(8, "strict vs triangular-plus-even counts, n<=40", budget=10.0):
         lhs = len(enumerate_strict_partitions(7))
         rhs = sum(
-            len(enumerate_partitions(7 - t, parts_filter="even-only"))
+            len(enumerate_partitions(7 - t, even_only=True))
             for t in (0, 1, 3, 6)
         )
         assert lhs == rhs == 5

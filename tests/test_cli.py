@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import os
@@ -148,6 +149,27 @@ class TestEnumerate:
             main(["enumerate", "partitions", "--n", "-3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("kind", tables.ENUMERATIONS)
+    def test_kind_takes_the_flags_and_defaults_of_its_emitter(self, kind):
+        params = inspect.signature(getattr(tables, tables.ENUMERATIONS[kind][0])).parameters
+        required = [k for k, p in params.items() if p.default is p.empty]
+        argv = [arg for k in required for arg in ("--" + k.replace("_", "-"), "1")]
+        args = vars(build_parser().parse_args(["enumerate", kind, *argv]))
+        expected = {k: 1 if p.default is p.empty else p.default for k, p in params.items() if k != "fmt"}
+        assert {k: args[k] for k in args if k not in ("command", "kind", "format", "out")} == expected
+        assert args["format"] == params["fmt"].default
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [("partitions", "--even-only keep all-even partitions only"), ("strict", "--parts PARTS exact number of parts")],
+        ids=["partitions", "strict"],
+    )
+    def test_help_describes_the_flag(self, capsys, kind, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", kind, "--help"])
+        assert exc.value.code == 0
+        assert text in " ".join(capsys.readouterr().out.split())
+
 
 class TestVerifyCommands:
     def test_verify_phi_passes(self, capsys):
@@ -225,7 +247,9 @@ def test_out_writes_file(tmp_path, capsys):
     ],
     ids=["verify", "table", "enumerate"],
 )
-def test_unopenable_out_is_usage_error_before_any_work(tmp_path, monkeypatch, argv, runs):
+def test_unopenable_out_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, argv, runs):
+    # the stub keeps the signature, from which an emitter's flags are read
+    @functools.wraps(getattr(*runs))
     def never(*args, **kwargs):
         raise AssertionError("the work ran before --out was opened")
 
@@ -234,7 +258,33 @@ def test_unopenable_out_is_usage_error_before_any_work(tmp_path, monkeypatch, ar
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(target)])
     assert exc.value.code == 2
+    assert "cannot open --out" in capsys.readouterr().err
     assert not target.parent.exists()
+
+
+def test_out_keeps_its_old_rows_when_the_run_raises(tmp_path, monkeypatch):
+    @functools.wraps(verify.verify_iota)
+    def broken(*args, **kwargs):
+        raise RuntimeError("the sweep failed")
+
+    monkeypatch.setattr(verify, "verify_iota", broken)
+    target = tmp_path / "rows.tsv"
+    target.write_text("old rows\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        main(["verify-iota", "--n-max", "10", "--out", str(target)])
+    assert target.read_text(encoding="utf-8") == "old rows\n"
+
+
+def test_out_longer_than_the_new_rows_is_replaced_exactly(tmp_path):
+    target = tmp_path / "rows.tsv"
+    target.write_text(TABLE1_N7 * 3, encoding="utf-8")
+    assert main(["table", "table1", "--n", "7", "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == TABLE1_N7
+
+
+def test_out_to_the_null_device_exits_0(capsys):
+    assert main(["table", "table1", "--n", "7", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("to_file", [False, True])

@@ -67,7 +67,7 @@ def test_even_only_matches_doubled_recursion(n):
         half = n // 2
         bound = half if max_part is None else min(max_part // 2, half)
         expected = [] if n % 2 else [tuple(2 * p for p in t) for t in reference_descending(half, bound)]
-        assert list(partition_tuples(n, max_part, "even-only")) == expected
+        assert list(partition_tuples(n, max_part, even_only=True)) == expected
 
 
 @pytest.mark.parametrize("n", range(31))
@@ -103,7 +103,7 @@ def test_bg_rank_reads_tuples_and_partitions_alike():
 def test_enumerators_are_lazy():
     # far beyond any weight that could be listed: only the first row is made
     assert next(partition_tuples(10_000)) == (10_000,)
-    assert next(partition_tuples(10_000, parts_filter="even-only")) == (10_000,)
+    assert next(partition_tuples(10_000, even_only=True)) == (10_000,)
     assert next(strict_partition_tuples(10_000)) == (10_000,)
     assert next(strict_partition_tuples(10_000, num_parts=3)) == (9_997, 2, 1)
     assert next(sequence_tails(0, 2, 5_000)) == (2,) * 4_998 + (1,)
@@ -114,7 +114,6 @@ def test_enumerators_are_lazy():
     [
         lambda: partition_tuples(-1),
         lambda: partition_tuples(3, max_part=0),
-        lambda: partition_tuples(3, parts_filter="odd"),
         lambda: strict_partition_tuples(-1),
         lambda: strict_partition_tuples(3, num_parts=-1),
         lambda: sequence_tails(-1, 1, 3),

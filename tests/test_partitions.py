@@ -57,7 +57,7 @@ class TestEnumeratePartitions:
         assert parts_of(enumerate_partitions(0)) == [()]
 
     def test_even_only(self):
-        got = parts_of(enumerate_partitions(6, parts_filter="even-only"))
+        got = parts_of(enumerate_partitions(6, even_only=True))
         assert got == [(6,), (4, 2), (2, 2, 2)]
 
     def test_even_only_matches_filtered_enumeration(self):
@@ -67,14 +67,14 @@ class TestEnumeratePartitions:
                 for p in enumerate_partitions(n)
                 if all(x % 2 == 0 for x in p.parts)
             ]
-            assert parts_of(enumerate_partitions(n, parts_filter="even-only")) == brute
+            assert parts_of(enumerate_partitions(n, even_only=True)) == brute
 
     def test_even_only_with_max_part(self):
-        got = parts_of(enumerate_partitions(8, max_part=5, parts_filter="even-only"))
+        got = parts_of(enumerate_partitions(8, max_part=5, even_only=True))
         assert got == [(4, 4), (4, 2, 2), (2, 2, 2, 2)]
 
     def test_odd_weight_even_only_empty(self):
-        assert enumerate_partitions(7, parts_filter="even-only") == []
+        assert enumerate_partitions(7, even_only=True) == []
 
     def test_reverse_lex_order_and_uniqueness(self):
         for n in range(11):
@@ -88,8 +88,6 @@ class TestEnumeratePartitions:
             enumerate_partitions(-1)
         with pytest.raises(ValueError):
             enumerate_partitions(4, max_part=0)
-        with pytest.raises(ValueError):
-            enumerate_partitions(4, parts_filter="odd-only")
 
 
 class TestEnumerateStrict:
