@@ -8,12 +8,9 @@ function is built only from factors 1/(1 - q^e), so dividing a list by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import partition_count, rank_staircase
 
 __all__ = [
-    "CoeffTable",
     "gf_coefficients",
     "strict_count_by_rank",
 ]
@@ -25,41 +22,18 @@ def _divide(c: list[int], e: int) -> None:
         c[n] += c[n - e]
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Sequence counts by (offset a, run length b, half-weight n).
-
-    ``entries`` stores the nonzero cells; :meth:`entry` reads any in-range
-    cell.  Cell (0, 0, 0) holds the lone empty sequence.
-    """
-
-    max_a: int
-    max_b: int
-    trunc_order: int
-    entries: dict[tuple[int, int, int], int]
-
-    def entry(self, a: int, b: int, n: int) -> int:
-        if not (0 <= a <= self.max_a and 0 <= b <= self.max_b and 0 <= n <= self.trunc_order):
-            raise IndexError(f"cell ({a}, {b}, {n}) outside the stored ranges")
-        return self.entries.get((a, b, n), 0)
-
-    def cells(self):
-        """Yield ((a, b, n), value) over all in-range cells, ascending."""
-        for a in range(self.max_a + 1):
-            for b in range(self.max_b + 1):
-                for n in range(self.trunc_order + 1):
-                    yield (a, b, n), self.entries.get((a, b, n), 0)
-
-
-def gf_coefficients(max_a: int, max_b: int, trunc_order: int) -> CoeffTable:
-    """Expand the closed-form generating function into a coefficient table.
+def gf_coefficients(max_a: int, max_b: int, trunc_order: int) -> dict[tuple[int, int, int], int]:
+    """Expand the closed-form generating function into the sequence counts
+    by (offset a, run length b, half-weight n): a dict of the nonzero cells,
+    in ascending (a, b, n) order, the order they are inserted.  Every other
+    cell within the bounds counts 0.
 
     For offset a and staircase half-height h >= 1 the closed form contributes
     the two slices b = 2h-1 and b = 2h.  Both read the series
     s = 1/((q;q)_h (q;q)_{a+h}): the odd slice is s shifted by h(a+h) and
     multiplied by (1 - q^h), the even slice is s shifted by h(a+h) + h.
     Stepping h to h+1 divides s by (1 - q^(h+1))(1 - q^(a+h+1)).  Cell
-    (0, 0, 0) gets the constant 1.
+    (0, 0, 0) gets the constant 1, the lone empty sequence.
     """
     if max_a < 0 or max_b < 0 or trunc_order < 0:
         raise ValueError("bounds must be nonnegative")
@@ -82,7 +56,7 @@ def gf_coefficients(max_a: int, max_b: int, trunc_order: int) -> CoeffTable:
                     if s[m]:
                         entries[(a, 2 * h, base + h + m)] = s[m]
             h += 1
-    return CoeffTable(max_a, max_b, trunc_order, entries)
+    return entries
 
 
 def strict_count_by_rank(rank: int, n: int) -> int:

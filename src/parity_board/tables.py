@@ -1,8 +1,9 @@
 """Deterministic tabular output for the CLI.
 
-TSV rows carry no header so they diff cleanly against golden files;
-JSON-lines records name their table in a ``"table"`` field.  All rows are
-emitted in a fixed enumeration order.
+TSV rows carry no header so they diff cleanly against golden files.  A
+JSON-lines row of a ``table`` names its table in a ``"table"`` field; an
+``enumerate`` record holds only the object's fields.  All rows are emitted in
+a fixed enumeration order.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def emit_table(kind: str, fmt: str = "tsv", **params: Optional[int]) -> Iterator
         return _emit(rows, fmt, _tab, _fields("counts", "n", "partitions", "strict"))
     if kind == "s-coeffs":
         table = gf_coefficients(params["a_max"], params["b_max"], params["trunc"])
-        rows = (cell + (value,) for cell, value in table.cells() if value)
+        rows = (cell + (value,) for cell, value in table.items())
         return _emit(rows, fmt, _tab, _fields("s-coeffs", "a", "b", "n", "count"))
     if kind == "theorem34":
         cells = theorem34_cells(params["k_min"], params["k_max"], params["m_max"], params["n_max"])

@@ -2,8 +2,10 @@ import functools
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -57,7 +59,7 @@ class TestTable:
         assert code == 0
         table = gf_coefficients(2, 4, 10)
         expected = [
-            f"{a}\t{b}\t{n}\t{v}" for (a, b, n), v in table.cells() if v
+            f"{a}\t{b}\t{n}\t{v}" for (a, b, n), v in sorted(table.items())
         ]
         assert out.splitlines() == expected
 
@@ -217,6 +219,20 @@ class TestVerifyCommands:
         _, serial, _ = run_cli(capsys, "verify-iota", "--n-max", "10", "--jobs", "1")
         _, sharded, _ = run_cli(capsys, "verify-iota", "--n-max", "10", "--jobs", "2")
         assert serial == sharded
+
+    def test_timing_covers_the_work_before_the_cells(self, capsys, monkeypatch):
+        """thm34 builds its histograms before any cell runs; the stderr time
+        counts them."""
+        cells = verify.theorem34_cells
+
+        def slow_cells(*args):
+            time.sleep(0.3)
+            return cells(*args)
+
+        monkeypatch.setattr(verify, "theorem34_cells", slow_cells)
+        code, _, err = run_cli(capsys, "verify-thm34", "--m-max", "1", "--n-max", "1")
+        assert code == 0
+        assert float(re.fullmatch(r"# .* in (\S+)s\n", err).group(1)) >= 0.3
 
     def test_zero_jobs_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
-import dataclasses
 import itertools
 import os
 import signal
+import time
 
 import pytest
 
@@ -107,7 +107,7 @@ def test_congruences_record_skipped_cells():
 
 def test_failure_report_rendering():
     bad = Mismatch("demo-law", {"n": 3}, "5", "4")
-    report = VerificationReport("demo", {"n_max": 3}, 7, [bad], skipped=2, elapsed=1.25)
+    report = VerificationReport("demo", {"n_max": 3}, 7, [bad], skipped=2)
     assert not report.passed
     assert report.exit_code == 1
     tsv = list(report.tsv_lines())
@@ -123,8 +123,6 @@ def test_failure_report_rendering():
     json_lines = list(report.json_lines())
     assert '"status":"fail"' in json_lines[0]
     assert '"record":"mismatch"' in json_lines[1]
-    # wall time stays out of both serializations
-    assert not any("1.25" in line for line in tsv + json_lines)
 
 
 # Every fork this test process makes, recorded on the parent side.  The hook
@@ -247,6 +245,23 @@ def test_a_cell_that_raises_in_the_parent_still_reaps_the_children(two_cpus):
     _assert_no_child_left()
 
 
+def test_a_cell_that_raises_in_the_parent_stops_the_children(two_cpus):
+    """The children's results can no longer be used, so the parent does not
+    wait for them to finish their shares."""
+
+    def broken(cell):
+        if cell == 0:  # share 0, mapped by the parent
+            raise KeyError(cell)
+        time.sleep(30)  # share 1, mapped by the child
+        return cell
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError):
+        verify._run_cells(broken, [0, 1], 2)
+    assert time.perf_counter() - t0 < 5
+    _assert_no_child_left()
+
+
 def test_a_child_that_dies_is_an_error_naming_its_status(two_cpus):
     parent = os.getpid()
 
@@ -297,8 +312,8 @@ def test_vacuous_reports_say_so():
 
 def _off_by_one_entry(*bounds):
     table = gf_coefficients(*bounds)
-    key = min(cell for cell in table.entries if cell != (0, 0, 0))
-    return dataclasses.replace(table, entries={**table.entries, key: table.entries[key] + 1})
+    key = min(cell for cell in table if cell != (0, 0, 0))
+    return {**table, key: table[key] + 1}
 
 
 def _first_part_plus_one(a, seq):
