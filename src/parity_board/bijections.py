@@ -19,9 +19,8 @@ its shifted-diagram columns plus a leftover sequence, and is injective.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 from operator import add
 from typing import Sequence
@@ -213,24 +212,18 @@ def durfee_class(parts: Sequence[int], a: int) -> int:
 
 @dataclass(frozen=True)
 class StaircaseSplit:
-    """A triangular number plus a sequence remnant.
+    """A staircase of ``height`` rows, weighing ``triangular`` cells, plus a sequence remnant."""
 
-    ``height`` is the staircase height k with triangular = k(k+1)/2; it is
-    derived from ``triangular`` and construction rejects non-triangular
-    values.
-    """
-
-    triangular: int
+    height: int
     seq: ABSequence
-    height: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.triangular < 0:
-            raise ValueError("triangular part must be nonnegative")
-        k = (math.isqrt(8 * self.triangular + 1) - 1) // 2
-        if k * (k + 1) // 2 != self.triangular:
-            raise ValueError(f"{self.triangular} is not a triangular number")
-        object.__setattr__(self, "height", k)
+        if self.height < 0:
+            raise ValueError("staircase height must be nonnegative")
+
+    @property
+    def triangular(self) -> int:
+        return self.height * (self.height + 1) // 2
 
     def __str__(self) -> str:
         return f"({self.triangular},{self.seq})"
@@ -239,22 +232,21 @@ class StaircaseSplit:
 def split_strict(s: StrictPartition) -> StaircaseSplit:
     """Split a strict partition into a balanced staircase and a remnant.
 
-    Reading the shifted-diagram columns, the running alternating sums start
-    0, -1, 1, -2, 2, ... for the first m columns, so the full sum A is
-    first attained at k = 2A (A >= 0) or k = -2A - 1 (A < 0); the columns
-    past k then form a valid sequence, and the staircase 1..k carries
-    k(k+1)/2 cells.  Weight is preserved: |s| = triangular + remnant weight.
+    The staircase is the BG-rank staircase of :func:`rank_staircase`, the
+    BG-rank being minus the alternating sum A of the shifted-diagram
+    columns.  Their running alternating sums start 0, -1, 1, -2, 2, ..., so
+    A is first attained at its height k, and the columns past k form a valid
+    sequence.  Weight is preserved: |s| = triangular + remnant weight.
     """
     profile = columns(s)
-    total = alternating_sum(profile.cols)
-    k = 2 * total if total >= 0 else -2 * total - 1
+    k = rank_staircase(-alternating_sum(profile.cols))[0]
     if k > len(s.parts):
         raise InternalInvariantViolation(f"split point {k} exceeds the {len(s.parts)} rows of {s}")
     try:
         seq = ABSequence(profile.cols[k:])
     except InvalidABSequence as exc:
         raise InternalInvariantViolation(f"columns of {s} past {k} are not a valid sequence") from exc
-    return StaircaseSplit(k * (k + 1) // 2, seq)
+    return StaircaseSplit(k, seq)
 
 
 def is_valid_split(img: StaircaseSplit) -> bool:

@@ -167,7 +167,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
     summary = f"{report.checks_run} checks, {len(report.mismatches)} mismatches, {report.skipped} skipped"
     print(f"# {report.subject}: {summary} in {elapsed:.2f}s", file=sys.stderr)
-    return report.exit_code
+    return 0 if report.passed else 1
 
 
 def run() -> None:

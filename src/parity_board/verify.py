@@ -15,6 +15,7 @@ import json
 import os
 import signal
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Iterator, NoReturn, Sequence
 
@@ -96,10 +97,6 @@ class VerificationReport:
     def vacuous(self) -> bool:
         """True when the sweep ran no check, so its pass says nothing."""
         return self.checks_run == 0
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
 
     def _head(self) -> dict:
         """The report's fields, in the order the TSV head lists them."""
@@ -191,15 +188,16 @@ def _run_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
     The parent is one of the W processes and maps share 0 itself, which is
     every cell when W is 1; each of W − 1 forked children maps one share and
     sends its results back pickled through a pipe.  Every child is reaped
-    before this returns; when the parent's share raises, the children are
-    killed first.  An exception a cell raised in a
-    child is raised again here, and a child that dies is an error naming its
-    exit status.
+    before this returns; when the parent raises, an interrupt while it waits
+    for a child included, the children not yet reaped are killed first.  An
+    exception a cell raised in a child is raised again here, and a child that
+    dies is an error naming its exit status.
     """
     workers = max(1, min(jobs, _usable_cpus(), len(cells))) if hasattr(os, "fork") else 1
     if workers > 1:
         import pickle  # before the fork, so the children inherit it
     children = []
+    replies = []
     out = [None] * len(cells)
     try:
         for w in range(1, workers):
@@ -210,12 +208,16 @@ def _run_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
             os.close(wfd)
             children.append((pid, rfd))
         out[0::workers] = [fn(cell) for cell in cells[0::workers]]
+        for pid, rfd in children:
+            replies.append(_reap(pid, rfd))
     except BaseException:
-        for pid, _ in children:  # their results can no longer be used
-            os.kill(pid, signal.SIGKILL)
+        for pid, rfd in children[len(replies) :]:  # their results can no longer be used
+            with suppress(OSError):
+                os.close(rfd)  # an interrupted _reap may have closed it already
+            with suppress(OSError):  # or reaped the child
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         raise
-    finally:
-        replies = [_reap(pid, rfd) for pid, rfd in children]
     for w, (status, reply) in enumerate(replies, 1):
         if status:
             raise RuntimeError(f"sweep process for share {w} of {workers} exited with status {status}")
@@ -340,7 +342,7 @@ def verify_gf(a_max: int = 4, b_max: int = 8, trunc: int = 15, jobs: int = 1) ->
 
 
 def _admissible_splits(n: int) -> list[StaircaseSplit]:
-    """Every pair (triangular, sequence) of total weight n that
+    """Every pair (staircase, sequence) of total weight n that
     :func:`is_valid_split` accepts, in deterministic order.
 
     The test reads only the staircase height and the sequence's (a, b), so
@@ -348,19 +350,18 @@ def _admissible_splits(n: int) -> list[StaircaseSplit]:
     """
     out: list[StaircaseSplit] = []
     k = 0
-    while k * (k + 1) // 2 <= n:
-        t = k * (k + 1) // 2
+    while (t := k * (k + 1) // 2) <= n:
         half, odd = divmod(n - t, 2)
-        if half == odd == 0 and is_valid_split(StaircaseSplit(t, EMPTY_SEQUENCE)):
-            out.append(StaircaseSplit(t, EMPTY_SEQUENCE))
+        if half == odd == 0 and is_valid_split(StaircaseSplit(k, EMPTY_SEQUENCE)):
+            out.append(StaircaseSplit(k, EMPTY_SEQUENCE))
         # a nonempty sequence has a + 1 <= half and its staircase weighs at most 2 * half
         for a in range(0 if odd else half):
             b = 1
             while a * b + b * (b + 1) // 2 <= 2 * half:
                 tail = next(sequence_tails(a, b, half), None)
                 first = None if tail is None else ABSequence(tuple(range(a + 1, a + b + 1)) + tail)
-                if first is not None and is_valid_split(StaircaseSplit(t, first)):
-                    out.extend(StaircaseSplit(t, seq) for seq in enumerate_sequences(a, b, half))
+                if first is not None and is_valid_split(StaircaseSplit(k, first)):
+                    out.extend(StaircaseSplit(k, seq) for seq in enumerate_sequences(a, b, half))
                 b += 1
         k += 1
     return out
@@ -378,7 +379,7 @@ def _iota_cell(n: int) -> CellResult:
     admissible pair of weight ``n`` is the split of one.
 
     The round-trip pass keeps each split in ``split_of`` (keyed by parts) and
-    each unsplit in ``unsplit_of`` (keyed by triangular part and sequence
+    each unsplit in ``unsplit_of`` (keyed by staircase height and sequence
     entries), result or exception.  Both maps are pure functions of those
     values, so the completeness pass reads them and calls a map only on a
     miss, such as a pair that is no strict partition's split.
@@ -404,16 +405,16 @@ def _iota_cell(n: int) -> CellResult:
             # unsplit_strict refuses such a pair, so there is no round trip to check
             miss("image-characterization", s, "valid split", str(img))
             continue
-        back = unsplit_of[img.triangular, img.seq.entries] = _outcome(unsplit_strict, img)
+        back = unsplit_of[img.height, img.seq.entries] = _outcome(unsplit_strict, img)
         if back != s:
             miss("round-trip", s, str(s), _shown(back))
     images = [img for img in split_of.values() if not isinstance(img, Exception)]
-    keys = {(img.triangular, img.seq.entries) for img in images}
+    keys = {(img.height, img.seq.entries) for img in images}
     bad += _compared("injectivity", {"n": n}, len(images), len(keys))
     pairs = _admissible_splits(n)
     for img in pairs:
         checks += 1
-        s = _stored_outcome(unsplit_of, (img.triangular, img.seq.entries), unsplit_strict, img)
+        s = _stored_outcome(unsplit_of, (img.height, img.seq.entries), unsplit_strict, img)
         if isinstance(s, Exception):
             again = s
         else:

@@ -194,29 +194,27 @@ class TestStaircaseSplit:
                 expected = 2 * rank - 1 if rank > 0 else -2 * rank
                 assert split_strict(s).height == expected
 
-    def test_non_triangular_rejected(self):
-        with pytest.raises(ValueError):
-            StaircaseSplit(5, EMPTY_SEQUENCE)
+    def test_negative_height_rejected(self):
         with pytest.raises(ValueError):
             StaircaseSplit(-1, EMPTY_SEQUENCE)
 
     @pytest.mark.parametrize(
-        "t,entries,ok",
+        "height,entries,ok",
         [
             (1, (1, 1, 1, 1, 1, 1), True),
-            (3, (2, 2), True),
+            (2, (2, 2), True),
             (1, (3, 3), False),
             (0, (1, 1), True),
-            (3, (1, 2, 2, 1), False),  # run of length 2 below the staircase
+            (2, (1, 2, 2, 1), False),  # run of length 2 below the staircase
         ],
     )
-    def test_image_characterization(self, t, entries, ok):
-        img = StaircaseSplit(t, validate(entries))
+    def test_image_characterization(self, height, entries, ok):
+        img = StaircaseSplit(height, validate(entries))
         assert is_valid_split(img) == ok
 
     def test_unsplit_examples(self):
-        assert unsplit_strict(StaircaseSplit(3, validate([2, 2]))).parts == (4, 3)
-        assert unsplit_strict(StaircaseSplit(6, EMPTY_SEQUENCE)).parts == (3, 2, 1)
+        assert unsplit_strict(StaircaseSplit(2, validate([2, 2]))).parts == (4, 3)
+        assert unsplit_strict(StaircaseSplit(3, EMPTY_SEQUENCE)).parts == (3, 2, 1)
         assert unsplit_strict(StaircaseSplit(1, validate([2, 2, 1, 1]))).parts == (5, 2)
 
     def test_unsplit_rejects_non_image(self):
@@ -227,18 +225,17 @@ class TestStaircaseSplit:
         # every admissible pair with triangular <= 21 and remnant weight <= 30
         # is hit by a strict partition
         for k in range(7):
-            t = k * (k + 1) // 2
-            candidates = [StaircaseSplit(t, EMPTY_SEQUENCE)]
+            candidates = [StaircaseSplit(k, EMPTY_SEQUENCE)]
             for half in range(1, 16):
                 for b in range(1, 16):
                     if k * b + b * (b + 1) // 2 > 2 * half:
                         break
                     candidates += [
-                        StaircaseSplit(t, d) for d in enumerate_sequences(k, b, half)
+                        StaircaseSplit(k, d) for d in enumerate_sequences(k, b, half)
                     ]
                 for a in range(k):
                     candidates += [
-                        StaircaseSplit(t, d) for d in enumerate_sequences(a, 1, half)
+                        StaircaseSplit(k, d) for d in enumerate_sequences(a, 1, half)
                     ]
             for img in candidates:
                 assert is_valid_split(img)

@@ -234,6 +234,13 @@ class TestVerifyCommands:
         assert code == 0
         assert float(re.fullmatch(r"# .* in (\S+)s\n", err).group(1)) >= 0.3
 
+    def test_a_mismatch_exits_1(self, capsys, monkeypatch):
+        formula = verify.count_strict_by_parts_rank_formula
+        monkeypatch.setattr(verify, "count_strict_by_parts_rank_formula", lambda k, m, n: formula(k, m, n) + 1)
+        code, out, _ = run_cli(capsys, "verify-thm34", "--m-max", "2", "--n-max", "6")
+        assert code == 1
+        assert "status\tfail" in out
+
     def test_zero_jobs_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify-iota", "--jobs", "0"])
