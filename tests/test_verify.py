@@ -1,13 +1,15 @@
+import ast
 import contextlib
 import itertools
 import os
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
 from parity_board import bijections, partitions, verify
-from parity_board.abseq import alternating_sum
+from parity_board.abseq import alternating_sum, enumerate_sequences
 from parity_board.bijections import (
     StaircaseSplit,
     count_strict_by_parts_rank_formula,
@@ -385,60 +387,124 @@ def _drop_first_entry(parts):
     return partitions.conjugate(parts)[1:]
 
 
+def _second_sent_to_first(s):
+    """The split, except that the second strict partition of each weight
+    is sent to the first one's image."""
+    first_two = list(itertools.islice(strict_partition_tuples(s.weight), 2))
+    if first_two[1:] == [s.parts]:
+        s = StrictPartition(first_two[0])
+    return split_strict(s)
+
+
 # id -> (sweep at small bounds, "module.name" of a function it calls, that
-# function broken).  Most breaks are off by one.  The all-ones image lies
-# outside the Durfee class, so the sweep must report it without attempting
-# the round trip.  The alternating sum off by one and the conjugate that drops
-# its first entry make a map raise, which the sweep must report as a
-# mismatch.  The split test that accepts everything must be caught by the
-# pairs it lets in.  The broken unsplit and the strict enumerator that drops a
-# row break the sides that iota and euler now compute once and reuse.
+# function broken, the laws the report must name).  Most breaks are off by
+# one.  The all-ones image lies outside the Durfee class, so the sweep must
+# report it without attempting the round trip.  The alternating sum off by
+# one and the conjugate that drops its first entry make a map raise, which
+# the sweep must report as a mismatch.  The split test that accepts
+# everything must be caught by the pairs it lets in, with no round trip
+# failing.  A broken unsplit fails only the round trip, since the
+# completeness pass calls no map.  A split that sends two partitions to one
+# image fails injectivity, and a sequence enumerator that drops a row fails
+# only the cardinality.  The strict enumerator that drops a row breaks the
+# side that euler computes once and reuses.
 FAULTS = {
     "partition_from_sequence": (
-        lambda: verify_bijection_phi(2, 3, 6), "verify.partition_from_sequence", _first_part_plus_one
+        lambda: verify_bijection_phi(2, 3, 6),
+        "verify.partition_from_sequence",
+        _first_part_plus_one,
+        {"halved-weight", "class-membership", "round-trip", "board-oracle"},
     ),
-    "gf_coefficients": (lambda: verify_gf(2, 4, 8), "verify.gf_coefficients", _off_by_one_entry),
-    "split_strict": (lambda: verify_iota(10), "verify.split_strict", _staircase_one_higher),
+    "gf_coefficients": (lambda: verify_gf(2, 4, 8), "verify.gf_coefficients", _off_by_one_entry, {"coefficient"}),
+    "split_strict": (
+        lambda: verify_iota(10),
+        "verify.split_strict",
+        _staircase_one_higher,
+        {"weight-additivity", "image-characterization", "round-trip", "completeness"},
+    ),
+    "split_strict-merges-two-images": (
+        lambda: verify_iota(10),
+        "verify.split_strict",
+        _second_sent_to_first,
+        {"round-trip", "injectivity", "completeness"},
+    ),
     "count_strict_by_parts_rank_formula": (
         lambda: verify_theorem34(-2, 2, 5, 15),
         "verify.count_strict_by_parts_rank_formula",
         lambda k, m, n: count_strict_by_parts_rank_formula(k, m, n) + 1,
+        {"count-equality"},
     ),
     "partition_tuples": (
-        lambda: verify_euler_vandervelde(12), "verify.partition_tuples", _drop_first_row
+        lambda: verify_euler_vandervelde(12), "verify.partition_tuples", _drop_first_row, {"count-equality"}
     ),
     "strict_partition_tuples": (
-        lambda: verify_euler_vandervelde(12), "verify.strict_partition_tuples", _drop_first_strict_row
+        lambda: verify_euler_vandervelde(12),
+        "verify.strict_partition_tuples",
+        _drop_first_strict_row,
+        {"count-equality"},
     ),
     "strict_count_by_rank": (
         lambda: verify_congruences(40),
         "verify.strict_count_by_rank",
         lambda rank, n: strict_count_by_rank(rank, n) + 1,
+        {"mod-5", "closed-form"},
     ),
     "partition_from_sequence-outside-class": (
-        lambda: verify_bijection_phi(2, 2, 4), "verify.partition_from_sequence", _all_ones
+        lambda: verify_bijection_phi(2, 2, 4),
+        "verify.partition_from_sequence",
+        _all_ones,
+        {"class-membership", "board-oracle"},
+    ),
+    "enumerate_sequences-drops-first": (
+        lambda: verify_bijection_phi(2, 3, 6),
+        "verify.enumerate_sequences",
+        lambda a, b, n: enumerate_sequences(a, b, n)[1:],
+        {"cardinality"},
     ),
     "alternating_sum-raises-in-split": (
         lambda: verify_iota(10),
         "bijections.alternating_sum",
         lambda xs: alternating_sum(xs) + 1,
+        {"weight-additivity", "completeness"},
     ),
     "conjugate-raises-in-phi": (
-        lambda: verify_bijection_phi(2, 3, 6), "bijections.conjugate", _drop_first_entry
+        lambda: verify_bijection_phi(2, 3, 6),
+        "bijections.conjugate",
+        _drop_first_entry,
+        {"halved-weight", "class-membership", "board-oracle"},
     ),
     "is_valid_split-accepts-everything": (
-        lambda: verify_iota(10), "verify.is_valid_split", lambda img: True
+        lambda: verify_iota(10), "verify.is_valid_split", lambda img: True, {"completeness", "pair-count"}
     ),
-    "unsplit_strict": (lambda: verify_iota(10), "verify.unsplit_strict", _unsplit_first_part_plus_one),
+    "unsplit_strict": (
+        lambda: verify_iota(10), "verify.unsplit_strict", _unsplit_first_part_plus_one, {"round-trip"}
+    ),
 }
 
 
-@pytest.mark.parametrize("sweep, target, broken", FAULTS.values(), ids=FAULTS.keys())
-def test_every_sweep_fails_when_its_closed_form_is_off_by_one(monkeypatch, sweep, target, broken):
+@pytest.mark.parametrize("sweep, target, broken, laws", FAULTS.values(), ids=FAULTS.keys())
+def test_every_sweep_fails_when_its_closed_form_is_off_by_one(monkeypatch, sweep, target, broken, laws):
     monkeypatch.setattr(f"parity_board.{target}", broken)
     report = sweep()
-    assert report.mismatches
     assert not report.passed
+    assert {m.law for m in report.mismatches} == laws
+
+
+def test_every_law_is_shown_to_fire():
+    """Each law name a mismatch in ``verify.py`` can carry is tripped by some
+    fault above, so a law added without a fault case fails here."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    names = {
+        call.args[0].value
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id in {"Mismatch", "_compared", "miss"}
+        and call.args
+        and isinstance(call.args[0], ast.Constant)
+        and isinstance(call.args[0].value, str)
+    }
+    assert names == set().union(*(laws for *_, laws in FAULTS.values()))
 
 
 def test_iota_fails_when_conjugate_drops_its_last_entry(monkeypatch):
@@ -506,19 +572,19 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_unsplit_off_by_one_fails_both_passes_through_the_reused_results(monkeypatch):
-    """The completeness pass reads the unsplits of the round-trip pass, so a
-    broken unsplit still fails both, and is called once per strict partition."""
+def test_a_broken_unsplit_fails_only_the_round_trip(monkeypatch):
+    """The completeness pass calls no map, so a broken unsplit fails only the
+    round trip, and is called once per strict partition."""
     monkeypatch.setattr(verify, "unsplit_strict", _unsplit_first_part_plus_one)
     calls = _counting(monkeypatch, verify, "unsplit_strict")
     report = verify_iota(10)
-    assert {"round-trip", "completeness"} <= {m.law for m in report.mismatches}
-    assert len(calls) == sum(1 for n in range(11) for _ in strict_partition_tuples(n))
+    assert {m.law for m in report.mismatches} == {"round-trip"}
+    assert len(calls) == sum(1 for n in range(11) for _ in strict_partition_tuples(n)) == 43
 
 
 def test_iota_maps_each_strict_partition_once(monkeypatch):
-    """The completeness pass reuses the round-trip pass's results: one split
-    and one unsplit per strict partition of n <= 12."""
+    """The completeness pass calls no map, so the round-trip pass makes the
+    only calls: one split and one unsplit per strict partition of n <= 12."""
     splits = _counting(monkeypatch, verify, "split_strict")
     unsplits = _counting(monkeypatch, verify, "unsplit_strict")
     report = verify_iota(12)
