@@ -186,11 +186,9 @@ def enumerate_partitions(
     return [Partition(t) for t in partition_tuples(n, max_part, even_only)]
 
 
-def _strict_descending(
-    n: int, max_part: int, num_parts: Optional[int]
-) -> Iterator[tuple[int, ...]]:
-    """Strict partitions of ``n`` with parts at most ``max_part`` and, unless
-    ``num_parts`` is None, exactly that many parts; reverse-lexicographic.
+def _strict_descending(n: int, num_parts: Optional[int]) -> Iterator[tuple[int, ...]]:
+    """Strict partitions of ``n`` with, unless ``num_parts`` is None, exactly
+    that many parts; reverse-lexicographic.
 
     Depth-first search on an explicit stack that enters only prefixes which
     complete.  A part k followed by ``after`` more parts leaves n' = rest - k
@@ -206,9 +204,7 @@ def _strict_descending(
         return
     parts: list[int] = []
     rest = n  # weight not yet placed
-    k = min(n, max_part)  # candidate for the next part
-    if num_parts is not None:
-        k = min(k, n - num_parts * (num_parts - 1) // 2)
+    k = n if num_parts is None else n - num_parts * (num_parts - 1) // 2  # candidate for the next part
     while True:
         if num_parts is None:
             room = k * (k - 1) // 2
@@ -248,7 +244,7 @@ def strict_partition_tuples(n: int, num_parts: Optional[int] = None) -> Iterator
         raise ValueError("n must be nonnegative")
     if num_parts is not None and num_parts < 0:
         raise ValueError("num_parts must be nonnegative")
-    return _strict_descending(n, n, num_parts)
+    return _strict_descending(n, num_parts)
 
 
 def enumerate_strict_partitions(

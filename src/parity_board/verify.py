@@ -1,12 +1,17 @@
 """Verification sweeps pitting each closed form against brute enumeration.
 
 Every sweep walks a parameter grid in canonical order, returning a
-:class:`VerificationReport`.  Cells are independent pure computations, so a
-grid may be sharded across W processes: the parent maps the strided share
+:class:`VerificationReport`.  Each cell is a generator that yields one
+record ``(law, where, expected, actual)`` per check it makes, and
+:func:`_tally` counts those records and keeps each whose two values differ
+as a :class:`Mismatch`, so a report's ``checks`` is the number of records
+its cells yielded.  Cells are independent pure computations, so a grid may
+be sharded across W processes: the parent maps the strided share
 ``cells[0::W]`` itself and forks a child for each other share ``cells[w::W]``
-(W = 1 where ``os.fork`` is missing).  Results merge in grid order and the
-serialized report is byte-identical for any worker count.  A report holds
-no wall time; the CLI times the whole sweep call.
+(W = 1 where ``os.fork`` is missing); each process tallies the cells it
+maps.  Results merge in grid order and the serialized report is
+byte-identical for any worker count.  A report holds no wall time; the CLI
+times the whole sweep call.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import signal
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .abseq import ABSequence, EMPTY_SEQUENCE, enumerate_sequences, sequence_tails
 from .bijections import (
@@ -38,7 +43,6 @@ from .partitions import (
     partition_tuples,
     rank_staircase,
     strict_partition_tuples,
-    StrictPartition,
 )
 from .qseries import gf_coefficients, strict_count_by_rank
 
@@ -131,8 +135,8 @@ def _pairs(fields: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-# What a cell returns: (checks run, mismatches found).
-CellResult = tuple[int, list[Mismatch]]
+# What a cell yields for each check it makes: (law, where, expected, actual).
+Check = tuple[str, dict[str, object], object, object]
 
 
 def _usable_cpus() -> int:
@@ -228,20 +232,31 @@ def _run_cells(fn: Callable, cells: Sequence, jobs: int) -> list:
     return out
 
 
+def _tally(records: Iterable[Check]) -> tuple[int, list[Mismatch]]:
+    """The number of records, and a mismatch for each whose ``actual`` is not
+    its ``expected``: both values shown by :func:`_shown`, and each value of
+    ``where`` that is not an ``int`` as its text."""
+    checks = 0
+    mismatches = []
+    for law, where, expected, actual in records:
+        checks += 1
+        if expected != actual:
+            shown_where = {k: v if isinstance(v, int) else str(v) for k, v in where.items()}
+            mismatches.append(Mismatch(law, shown_where, _shown(expected), _shown(actual)))
+    return checks, mismatches
+
+
 def _sweep(
-    subject: str, cell: Callable[..., CellResult], cells: Sequence, params: dict, jobs: int, skipped: int = 0
+    subject: str, cell: Callable[..., Iterator[Check]], cells: Sequence, params: dict, jobs: int, skipped: int = 0
 ) -> VerificationReport:
-    """Run ``cell`` over ``cells`` and merge the results in grid order;
-    ``skipped`` counts the cells the grid left out."""
-    results = _run_cells(cell, cells, jobs)
+    """Tally the records ``cell`` yields on each of ``cells``, in the process
+    that maps the cell, and merge the results in grid order: ``checks`` counts
+    every record, so a map that raises lowers it by the checks that needed
+    its result.  ``skipped`` counts the cells the grid left out."""
+    results = _run_cells(lambda c: _tally(cell(c)), cells, jobs)
     checks = sum(r[0] for r in results)
     mismatches = [m for r in results for m in r[1]]
     return VerificationReport(subject, params, checks, mismatches, skipped)
-
-
-def _compared(law: str, where: dict[str, object], expected, actual) -> list[Mismatch]:
-    """``[]`` when ``actual`` equals ``expected``, else the one mismatch showing both."""
-    return [] if expected == actual else [Mismatch(law, where, str(expected), str(actual))]
 
 
 def _outcome(fn: Callable, *args):
@@ -260,35 +275,23 @@ def _shown(outcome) -> str:
     return str(outcome)
 
 
-def _phi_cell(cell: tuple[int, int, int, int]) -> CellResult:
+def _phi_cell(cell: tuple[int, int, int, int]) -> Iterator[Check]:
     a, b, n, members = cell
-    checks = 0
-    bad: list[Mismatch] = []
-
-    def miss(law: str, seq: ABSequence, expected: str, actual: str) -> None:
-        bad.append(Mismatch(law, {"a": a, "b": b, "n": n, "seq": str(seq)}, expected, actual))
-
     seqs = enumerate_sequences(a, b, n)
     for seq in seqs:
-        checks += 4
+        where = {"a": a, "b": b, "n": n, "seq": seq}
         lam = _outcome(partition_from_sequence, a, seq)
         if isinstance(lam, Exception):
-            miss("halved-weight", seq, str(n), _shown(lam))
+            yield "halved-weight", where, n, lam
             continue
-        if lam.weight != n:
-            miss("halved-weight", seq, str(n), str(lam.weight))
-        if durfee_class(lam.parts, a) != b:
-            # sequence_from_partition may refuse such a partition, so there is no round trip to check
-            miss("class-membership", seq, "member", f"{lam} outside class")
-        else:
-            back = _outcome(sequence_from_partition, a, lam)
-            if back != seq:
-                miss("round-trip", seq, str(seq), _shown(back))
-        filled = _outcome(partition_from_sequence_by_filling, a, seq)
-        if filled != lam:
-            miss("board-oracle", seq, str(lam), _shown(filled))
-    bad += _compared("cardinality", {"a": a, "b": b, "n": n}, members, len(seqs))
-    return checks + 1, bad
+        yield "halved-weight", where, n, lam.weight
+        member = durfee_class(lam.parts, a) == b
+        yield "class-membership", where, "member", "member" if member else f"{lam} outside class"
+        # sequence_from_partition may refuse a partition outside the class, so there is no round trip to check
+        if member:
+            yield "round-trip", where, seq, _outcome(sequence_from_partition, a, lam)
+        yield "board-oracle", where, lam, _outcome(partition_from_sequence_by_filling, a, seq)
+    yield "cardinality", {"a": a, "b": b, "n": n}, members, len(seqs)
 
 
 def verify_bijection_phi(a_max: int = 3, b_max: int = 4, n_max: int = 12, jobs: int = 1) -> VerificationReport:
@@ -316,7 +319,7 @@ def verify_bijection_phi(a_max: int = 3, b_max: int = 4, n_max: int = 12, jobs: 
     return _sweep("sequence-partition-bijection", _phi_cell, cells, params, jobs)
 
 
-def _gf_cell(cell: tuple[int, int, int, int]) -> CellResult:
+def _gf_cell(cell: tuple[int, int, int, int]) -> Iterator[Check]:
     """Count one cell by enumeration and compare with the table value it
     carries; the closed form itself is never consulted here."""
     a, b, n, value = cell
@@ -324,7 +327,7 @@ def _gf_cell(cell: tuple[int, int, int, int]) -> CellResult:
         count = 1 if (a, n) == (0, 0) else 0
     else:
         count = sum(1 for _ in sequence_tails(a, b, n))
-    return 1, _compared("coefficient", {"a": a, "b": b, "n": n}, count, value)
+    yield "coefficient", {"a": a, "b": b, "n": n}, count, value
 
 
 def verify_gf(a_max: int = 4, b_max: int = 8, trunc: int = 15, jobs: int = 1) -> VerificationReport:
@@ -367,7 +370,7 @@ def _admissible_splits(n: int) -> list[StaircaseSplit]:
     return out
 
 
-def _iota_cell(n: int) -> CellResult:
+def _iota_cell(n: int) -> Iterator[Check]:
     """Check the split on every strict partition of ``n``, then that every
     admissible pair of weight ``n`` is the split of one.
 
@@ -375,37 +378,29 @@ def _iota_cell(n: int) -> CellResult:
     of each split that did not raise.  The completeness pass checks each
     admissible pair against those images and calls no map.
     """
-    bad: list[Mismatch] = []
-
-    def miss(law: str, s: StrictPartition, expected: str, actual: str) -> None:
-        bad.append(Mismatch(law, {"n": n, "partition": str(s)}, expected, actual))
-
     stricts = enumerate_strict_partitions(n)
     images = []
     for s in stricts:
+        where = {"n": n, "partition": s}
         img = _outcome(split_strict, s)
         if isinstance(img, Exception):
-            miss("weight-additivity", s, str(n), _shown(img))
+            yield "weight-additivity", where, n, img
             continue
         images.append((img.height, img.seq.entries))
-        if img.triangular + img.seq.weight != n:
-            miss("weight-additivity", s, str(n), str(img.triangular + img.seq.weight))
-        if not is_valid_split(img):
-            # unsplit_strict refuses such a pair, so there is no round trip to check
-            miss("image-characterization", s, "valid split", str(img))
-            continue
-        back = _outcome(unsplit_strict, img)
-        if back != s:
-            miss("round-trip", s, str(s), _shown(back))
+        yield "weight-additivity", where, n, img.triangular + img.seq.weight
+        valid = is_valid_split(img)
+        yield "image-characterization", where, "valid split", "valid split" if valid else img
+        # unsplit_strict refuses a pair outside the image, so there is no round trip to check
+        if valid:
+            yield "round-trip", where, s, _outcome(unsplit_strict, img)
     keys = set(images)
-    bad += _compared("injectivity", {"n": n}, len(images), len(keys))
+    yield "injectivity", {"n": n}, len(images), len(keys)
     pairs = _admissible_splits(n)
+    split_of_one = "a strict partition's split"
     for pair in pairs:
-        if (pair.height, pair.seq.entries) not in keys:
-            where = {"n": n, "pair": str(pair)}
-            bad.append(Mismatch("completeness", where, "a strict partition's split", "no strict partition's split"))
-    bad += _compared("pair-count", {"n": n}, len(stricts), len(pairs))
-    return 3 * len(stricts) + len(pairs) + 2, bad
+        found = split_of_one if (pair.height, pair.seq.entries) in keys else "no strict partition's split"
+        yield "completeness", {"n": n, "pair": pair}, split_of_one, found
+    yield "pair-count", {"n": n}, len(stricts), len(pairs)
 
 
 def verify_iota(n_max: int = 25, jobs: int = 1) -> VerificationReport:
@@ -429,11 +424,10 @@ def theorem34_cells(k_min: int, k_max: int, m_max: int, n_max: int) -> list[tupl
     ]
 
 
-def _thm34_cell(cell: tuple[int, int, int, int]) -> CellResult:
+def _thm34_cell(cell: tuple[int, int, int, int]) -> Iterator[Check]:
     """Compare the enumerated count the cell carries with the closed form."""
     k, m, n, count = cell
-    formula = count_strict_by_parts_rank_formula(k, m, n)
-    return 1, _compared("count-equality", {"k": k, "m": m, "n": n}, count, formula)
+    yield "count-equality", {"k": k, "m": m, "n": n}, count, count_strict_by_parts_rank_formula(k, m, n)
 
 
 def verify_theorem34(
@@ -446,12 +440,11 @@ def verify_theorem34(
     return _sweep("strict-by-parts-and-rank", _thm34_cell, cells, params, jobs)
 
 
-def _euler_cell(cell: tuple[int, int]) -> CellResult:
+def _euler_cell(cell: tuple[int, int]) -> Iterator[Check]:
     """Count the strict partitions of ``n`` and compare with the count of
     (triangular, even-part partition) pairs the cell carries."""
     n, rhs = cell
-    lhs = sum(1 for _ in strict_partition_tuples(n))
-    return 1, _compared("count-equality", {"n": n}, lhs, rhs)
+    yield "count-equality", {"n": n}, sum(1 for _ in strict_partition_tuples(n)), rhs
 
 
 def verify_euler_vandervelde(n_max: int = 40, jobs: int = 1) -> VerificationReport:
@@ -489,15 +482,13 @@ CONGRUENCE_FAMILIES: tuple[tuple[int, tuple[int, ...]], ...] = (
 _FAMILY_OF_RANK = {r: n_res for n_res, rank_residues in CONGRUENCE_FAMILIES for r in rank_residues}
 
 
-def _congruence_cell(cell: tuple[int, int]) -> CellResult:
+def _congruence_cell(cell: tuple[int, int]) -> Iterator[Check]:
     rank, n = cell
     where = {"rank": rank, "n": n}
     count = strict_count_by_rank(rank, n)
-    bad = [Mismatch("mod-5", where, "0 (mod 5)", f"{count}")] if count % 5 else []
-    if n > 30:
-        return 1, bad
-    brute = sum(1 for t in strict_partition_tuples(n) if bg_rank(t) == rank)
-    return 2, bad + _compared("closed-form", where, brute, count)
+    yield "mod-5", where, "0 (mod 5)", count if count % 5 else "0 (mod 5)"
+    if n <= 30:
+        yield "closed-form", where, sum(1 for t in strict_partition_tuples(n) if bg_rank(t) == rank), count
 
 
 def verify_congruences(n_max: int = 101, jobs: int = 1) -> VerificationReport:

@@ -72,10 +72,9 @@ def test_even_only_matches_doubled_recursion(n):
 
 @pytest.mark.parametrize("n", range(31))
 def test_strict_matches_recursion(n):
-    for max_part in range(0, n + 2):
-        for num_parts in [None, *range(9)]:
-            expected = list(reference_strict_descending(n, max_part, num_parts))
-            assert list(_strict_descending(n, max_part, num_parts)) == expected
+    for num_parts in [None, *range(9)]:
+        expected = list(reference_strict_descending(n, n, num_parts))
+        assert list(_strict_descending(n, num_parts)) == expected
 
 
 def test_pruned_tails_match_unpruned():

@@ -396,88 +396,103 @@ def _second_sent_to_first(s):
     return split_strict(s)
 
 
-# id -> (sweep at small bounds, "module.name" of a function it calls, that
-# function broken, the laws the report must name).  Most breaks are off by
-# one.  The all-ones image lies outside the Durfee class, so the sweep must
-# report it without attempting the round trip.  The alternating sum off by
-# one and the conjugate that drops its first entry make a map raise, which
-# the sweep must report as a mismatch.  The split test that accepts
-# everything must be caught by the pairs it lets in, with no round trip
-# failing.  A broken unsplit fails only the round trip, since the
-# completeness pass calls no map.  A split that sends two partitions to one
-# image fails injectivity, and a sequence enumerator that drops a row fails
-# only the cardinality.  The strict enumerator that drops a row breaks the
-# side that euler computes once and reuses.
+# id -> (sweep at small bounds, taking ``jobs``, "module.name" of a function
+# it calls, that function broken, the laws the report must name).  Each report
+# must also be the same at ``jobs=3``.  Most breaks are off by one.  The
+# all-ones image lies outside the Durfee class, so the sweep must report it
+# without attempting the round trip.  The alternating sum off by one and the
+# conjugate that drops its first entry make a map raise, which the sweep must
+# report as a mismatch.  The split test that accepts everything must be caught
+# by the pairs it lets in, with no round trip failing.  A broken unsplit fails
+# only the round trip, since the completeness pass calls no map.  A split that
+# sends two partitions to one image fails injectivity, and a sequence
+# enumerator that drops a row fails only the cardinality.  The strict
+# enumerator that drops a row breaks the side that euler computes once and
+# reuses.
 FAULTS = {
     "partition_from_sequence": (
-        lambda: verify_bijection_phi(2, 3, 6),
+        lambda jobs=1: verify_bijection_phi(2, 3, 6, jobs=jobs),
         "verify.partition_from_sequence",
         _first_part_plus_one,
         {"halved-weight", "class-membership", "round-trip", "board-oracle"},
     ),
-    "gf_coefficients": (lambda: verify_gf(2, 4, 8), "verify.gf_coefficients", _off_by_one_entry, {"coefficient"}),
+    "gf_coefficients": (
+        lambda jobs=1: verify_gf(2, 4, 8, jobs=jobs),
+        "verify.gf_coefficients",
+        _off_by_one_entry,
+        {"coefficient"},
+    ),
     "split_strict": (
-        lambda: verify_iota(10),
+        lambda jobs=1: verify_iota(10, jobs=jobs),
         "verify.split_strict",
         _staircase_one_higher,
         {"weight-additivity", "image-characterization", "round-trip", "completeness"},
     ),
     "split_strict-merges-two-images": (
-        lambda: verify_iota(10),
+        lambda jobs=1: verify_iota(10, jobs=jobs),
         "verify.split_strict",
         _second_sent_to_first,
         {"round-trip", "injectivity", "completeness"},
     ),
     "count_strict_by_parts_rank_formula": (
-        lambda: verify_theorem34(-2, 2, 5, 15),
+        lambda jobs=1: verify_theorem34(-2, 2, 5, 15, jobs=jobs),
         "verify.count_strict_by_parts_rank_formula",
         lambda k, m, n: count_strict_by_parts_rank_formula(k, m, n) + 1,
         {"count-equality"},
     ),
     "partition_tuples": (
-        lambda: verify_euler_vandervelde(12), "verify.partition_tuples", _drop_first_row, {"count-equality"}
+        lambda jobs=1: verify_euler_vandervelde(12, jobs=jobs),
+        "verify.partition_tuples",
+        _drop_first_row,
+        {"count-equality"},
     ),
     "strict_partition_tuples": (
-        lambda: verify_euler_vandervelde(12),
+        lambda jobs=1: verify_euler_vandervelde(12, jobs=jobs),
         "verify.strict_partition_tuples",
         _drop_first_strict_row,
         {"count-equality"},
     ),
     "strict_count_by_rank": (
-        lambda: verify_congruences(40),
+        lambda jobs=1: verify_congruences(40, jobs=jobs),
         "verify.strict_count_by_rank",
         lambda rank, n: strict_count_by_rank(rank, n) + 1,
         {"mod-5", "closed-form"},
     ),
     "partition_from_sequence-outside-class": (
-        lambda: verify_bijection_phi(2, 2, 4),
+        lambda jobs=1: verify_bijection_phi(2, 2, 4, jobs=jobs),
         "verify.partition_from_sequence",
         _all_ones,
         {"class-membership", "board-oracle"},
     ),
     "enumerate_sequences-drops-first": (
-        lambda: verify_bijection_phi(2, 3, 6),
+        lambda jobs=1: verify_bijection_phi(2, 3, 6, jobs=jobs),
         "verify.enumerate_sequences",
         lambda a, b, n: enumerate_sequences(a, b, n)[1:],
         {"cardinality"},
     ),
     "alternating_sum-raises-in-split": (
-        lambda: verify_iota(10),
+        lambda jobs=1: verify_iota(10, jobs=jobs),
         "bijections.alternating_sum",
         lambda xs: alternating_sum(xs) + 1,
         {"weight-additivity", "completeness"},
     ),
     "conjugate-raises-in-phi": (
-        lambda: verify_bijection_phi(2, 3, 6),
+        lambda jobs=1: verify_bijection_phi(2, 3, 6, jobs=jobs),
         "bijections.conjugate",
         _drop_first_entry,
         {"halved-weight", "class-membership", "board-oracle"},
     ),
     "is_valid_split-accepts-everything": (
-        lambda: verify_iota(10), "verify.is_valid_split", lambda img: True, {"completeness", "pair-count"}
+        lambda jobs=1: verify_iota(10, jobs=jobs),
+        "verify.is_valid_split",
+        lambda img: True,
+        {"completeness", "pair-count"},
     ),
     "unsplit_strict": (
-        lambda: verify_iota(10), "verify.unsplit_strict", _unsplit_first_part_plus_one, {"round-trip"}
+        lambda jobs=1: verify_iota(10, jobs=jobs),
+        "verify.unsplit_strict",
+        _unsplit_first_part_plus_one,
+        {"round-trip"},
     ),
 }
 
@@ -488,23 +503,32 @@ def test_every_sweep_fails_when_its_closed_form_is_off_by_one(monkeypatch, sweep
     report = sweep()
     assert not report.passed
     assert {m.law for m in report.mismatches} == laws
+    sharded = sweep(jobs=3)
+    assert list(sharded.tsv_lines()) == list(report.tsv_lines())
+    assert list(sharded.json_lines()) == list(report.json_lines())
+
+
+def _mismatch_calls(node):
+    return [c for c in ast.walk(node) if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "Mismatch"]
 
 
 def test_every_law_is_shown_to_fire():
-    """Each law name a mismatch in ``verify.py`` can carry is tripped by some
-    fault above, so a law added without a fault case fails here."""
+    """Each law name a cell in ``verify.py`` yields is tripped by some fault
+    above, so a law added without a fault case fails here.  A mismatch is
+    built only in ``_tally``, which counts every record, so no check a cell
+    makes goes uncounted."""
     tree = ast.parse(Path(verify.__file__).read_text())
     names = {
-        call.args[0].value
-        for call in ast.walk(tree)
-        if isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Name)
-        and call.func.id in {"Mismatch", "_compared", "miss"}
-        and call.args
-        and isinstance(call.args[0], ast.Constant)
-        and isinstance(call.args[0].value, str)
+        node.value.elts[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Yield)
+        and isinstance(node.value, ast.Tuple)
+        and isinstance(node.value.elts[0], ast.Constant)
+        and isinstance(node.value.elts[0].value, str)
     }
     assert names == set().union(*(laws for *_, laws in FAULTS.values()))
+    tally = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_tally")
+    assert len(_mismatch_calls(tree)) == len(_mismatch_calls(tally)) == 1
 
 
 def test_iota_fails_when_conjugate_drops_its_last_entry(monkeypatch):
@@ -525,8 +549,9 @@ def test_iota_fails_when_conjugate_drops_its_last_entry(monkeypatch):
 
 def test_a_raising_map_is_reported_by_name():
     """The mismatch names what the map raised, and only the checks that need
-    the map's result are skipped: the other sequences of the cell, and the
-    cardinality, are still checked."""
+    the map's result are skipped: the class, round-trip and board checks of
+    the one sequence it failed on, which the report no longer counts.  The
+    other sequences of the cell, and the cardinality, are still checked."""
     conjugate = bijections.conjugate
     calls = []
 
@@ -540,7 +565,7 @@ def test_a_raising_map_is_reported_by_name():
         mp.setattr(bijections, "conjugate", fails_once)
         report = verify_bijection_phi(0, 1, 3)
     assert [(m.law, m.actual) for m in report.mismatches] == [("halved-weight", "ValueError: planted")]
-    assert report.checks_run == verify_bijection_phi(0, 1, 3).checks_run
+    assert report.checks_run == verify_bijection_phi(0, 1, 3).checks_run - 3 == 13
 
 
 def test_theorem34_enumerates_each_parts_weight_pair_once(monkeypatch):
