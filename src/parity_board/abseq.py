@@ -4,49 +4,28 @@ An ``ABSequence`` opens with the staircase a+1, a+2, ..., a+b, decreases
 weakly afterwards, and its entries cancel under alternating signs.  The
 parameters (a, b) are never supplied; they are derived from the entries and
 the derivation is unique, because an entry extending the staircase would
-have to exceed its predecessor.
+have to exceed its predecessor.  The two lemmas these sequences satisfy,
+on the signs of the running alternating sums and on the pairing of the
+entries past a zero running sum, are stated in ``tests/test_abseq.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "ABSequence",
     "alternating_sum",
     "EMPTY_SEQUENCE",
     "InvalidABSequence",
-    "NonPositiveEntry",
-    "NotWeaklyDecreasing",
-    "NonzeroAlternatingSum",
-    "PreconditionViolated",
-    "validate",
     "enumerate_sequences",
     "sequence_tails",
-    "check_prefix_sign_property",
-    "check_pairing_property",
 ]
 
 
 class InvalidABSequence(ValueError):
-    """Entry list that fails one of the three structural conditions."""
-
-
-class NonPositiveEntry(InvalidABSequence):
-    pass
-
-
-class NotWeaklyDecreasing(InvalidABSequence):
-    pass
-
-
-class NonzeroAlternatingSum(InvalidABSequence):
-    pass
-
-
-class PreconditionViolated(ValueError):
-    """A property checker was called outside its stated domain."""
+    """Entry list that fails a structural condition, which the message names."""
 
 
 def alternating_sum(xs: Sequence[int]) -> int:
@@ -72,7 +51,7 @@ class ABSequence:
         entries = self.entries
         for d in entries:
             if d < 1:
-                raise NonPositiveEntry(f"entries must be positive, got {d}")
+                raise InvalidABSequence(f"entries must be positive, got {d}")
         if not entries:
             a = b = 0
         else:
@@ -82,12 +61,12 @@ class ABSequence:
                 b += 1
             for i in range(b - 1, len(entries) - 1):
                 if entries[i] < entries[i + 1]:
-                    raise NotWeaklyDecreasing(
+                    raise InvalidABSequence(
                         f"entry {entries[i + 1]} at index {i + 2} exceeds {entries[i]}"
                     )
             alt = alternating_sum(entries)
             if alt != 0:
-                raise NonzeroAlternatingSum(f"alternating sum is {alt}, not 0")
+                raise InvalidABSequence(f"alternating sum is {alt}, not 0")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -99,13 +78,6 @@ class ABSequence:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def prefix_alt_sums(self) -> tuple[int, ...]:
-        """Running sums S_0 = 0, S_1 = -d_1, S_2 = -d_1 + d_2, ..., S_l."""
-        sums = [0]
-        for i, d in enumerate(self.entries):
-            sums.append(sums[-1] + (d if i % 2 else -d))
-        return tuple(sums)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -114,11 +86,6 @@ class ABSequence:
 
 
 EMPTY_SEQUENCE = ABSequence(())
-
-
-def validate(raw: Iterable[int]) -> ABSequence:
-    """Validate an entry list, deriving (a, b); the empty list is allowed."""
-    return ABSequence(tuple(raw))
 
 
 def _tails(bound: int, rest: int, u: int) -> Iterator[tuple[int, ...]]:
@@ -196,25 +163,3 @@ def enumerate_sequences(a: int, b: int, half_weight: int) -> list[ABSequence]:
     prefix = tuple(range(a + 1, a + b + 1))
     return [ABSequence(prefix + tail) for tail in sequence_tails(a, b, half_weight)]
 
-
-def check_prefix_sign_property(d: ABSequence) -> bool:
-    """No two consecutive running alternating sums are strictly same-signed."""
-    sums = d.prefix_alt_sums()
-    return not any(sums[m] * sums[m + 1] > 0 for m in range(1, len(d)))
-
-
-def check_pairing_property(d: ABSequence, n: int) -> bool:
-    """Once the first ``n`` entries cancel, the rest pair up as equal couples.
-
-    Requires ``n >= b - 1`` and a vanishing n-th running alternating sum;
-    anything else raises :class:`PreconditionViolated`.  Returns True when
-    ``n`` has the parity of the length and entries n+1..l form equal adjacent
-    pairs (weak decrease between pairs already holds by construction).
-    """
-    if n < d.b - 1 or n > len(d):
-        raise PreconditionViolated(f"n={n} outside [b-1, l] = [{d.b - 1}, {len(d)}]")
-    if d.prefix_alt_sums()[n] != 0:
-        raise PreconditionViolated(f"running alternating sum at {n} is nonzero")
-    if (len(d) - n) % 2:
-        return False
-    return all(d.entries[i] == d.entries[i + 1] for i in range(n, len(d) - 1, 2))

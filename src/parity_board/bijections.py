@@ -58,7 +58,7 @@ __all__ = [
 
 
 class InvalidSequence(ValueError):
-    """Sequence unusable for the board filling (empty or wrong offset)."""
+    """Sequence unusable for the board filling: the empty one covers no board."""
 
 
 class NotInDurfeeClass(ValueError):
@@ -83,8 +83,8 @@ def _pass_cells(d: ABSequence) -> list[int]:
     return cells
 
 
-def partition_from_sequence(a: int, d: ABSequence) -> Partition:
-    """Map a sequence with offset ``a`` to the partition it double-covers.
+def partition_from_sequence(d: ABSequence) -> Partition:
+    """Map a sequence to the partition it double-covers on the board of its offset ``d.a``.
 
     Row j of the result is the row block's cells plus the conjugate of the
     column blocks at j: one cell for every column block reaching row j.  The
@@ -92,8 +92,6 @@ def partition_from_sequence(a: int, d: ABSequence) -> Partition:
     """
     if d.is_empty:
         raise InvalidSequence("the empty sequence covers no board")
-    if d.a != a:
-        raise InvalidSequence(f"sequence has offset {d.a}, expected {a}")
     cells = _pass_cells(d)
     rows = cells[0::2]
     reach = conjugate(cells[1::2]) + (0,) * len(rows)
@@ -112,7 +110,7 @@ def _block_cells(a: int, i: int) -> list[tuple[int, int]]:
     return [(row, a + half + 1) for row in range(1, half + 1)]
 
 
-def partition_from_sequence_by_filling(a: int, d: ABSequence) -> Partition:
+def partition_from_sequence_by_filling(d: ABSequence) -> Partition:
     """Slow oracle: replay the literal filling and read the covered cells.
 
     Each pass doubles the previous block's singly covered cells (left to
@@ -122,8 +120,6 @@ def partition_from_sequence_by_filling(a: int, d: ABSequence) -> Partition:
     """
     if d.is_empty:
         raise InvalidSequence("the empty sequence covers no board")
-    if d.a != a:
-        raise InvalidSequence(f"sequence has offset {d.a}, expected {a}")
     cover: dict[tuple[int, int], int] = {}
     prev_single: list[tuple[int, int]] = []
     for i, entry in enumerate(d.entries, start=1):
@@ -134,7 +130,7 @@ def partition_from_sequence_by_filling(a: int, d: ABSequence) -> Partition:
         for cell in prev_single:
             cover[cell] = 2
         budget = entry - len(prev_single)
-        block = _block_cells(a, i)
+        block = _block_cells(d.a, i)
         if budget > len(block):
             raise InternalInvariantViolation(f"pass {i} overflows block {i}")
         prev_single = block[:budget]
@@ -170,7 +166,9 @@ def sequence_from_partition(a: int, p: Partition) -> ABSequence:
     counts the cells confined to each block (the column blocks through the
     conjugate of ``p``), and rebuilds the entries as d_1 = c_1,
     d_i = c_{i-1} + c_i up to one block past the last nonempty one.
-    Requires the largest part to exceed ``a``.
+    Requires the largest part to exceed ``a``.  The offset is an argument, not
+    read off ``p``, because ``p`` lies in one class for each offset below its
+    largest part.
     """
     if a < 0:
         raise ValueError("a must be nonnegative")

@@ -284,10 +284,8 @@ def partition_count(n: int) -> int:
     return _count_cache[n]
 
 
-def bg_rank(p: Partition | tuple[int, ...]) -> int:
-    """Odd parts at odd (1-based) index minus odd parts at even index; ``p``
-    is a partition or its tuple of parts."""
-    parts = p.parts if isinstance(p, Partition) else p
+def bg_rank(parts: tuple[int, ...]) -> int:
+    """Odd parts at odd (1-based) index minus odd parts at even index."""
     return sum(x & 1 for x in parts[0::2]) - sum(x & 1 for x in parts[1::2])
 
 

@@ -280,7 +280,7 @@ def _phi_cell(cell: tuple[int, int, int, int]) -> Iterator[Check]:
     seqs = enumerate_sequences(a, b, n)
     for seq in seqs:
         where = {"a": a, "b": b, "n": n, "seq": seq}
-        lam = _outcome(partition_from_sequence, a, seq)
+        lam = _outcome(partition_from_sequence, seq)
         if isinstance(lam, Exception):
             yield "halved-weight", where, n, lam
             continue
@@ -290,7 +290,7 @@ def _phi_cell(cell: tuple[int, int, int, int]) -> Iterator[Check]:
         # sequence_from_partition may refuse a partition outside the class, so there is no round trip to check
         if member:
             yield "round-trip", where, seq, _outcome(sequence_from_partition, a, lam)
-        yield "board-oracle", where, lam, _outcome(partition_from_sequence_by_filling, a, seq)
+        yield "board-oracle", where, lam, _outcome(partition_from_sequence_by_filling, seq)
     yield "cardinality", {"a": a, "b": b, "n": n}, members, len(seqs)
 
 

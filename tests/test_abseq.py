@@ -1,18 +1,14 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, strategies as st
 
 from parity_board.abseq import (
     ABSequence,
     EMPTY_SEQUENCE,
-    NonPositiveEntry,
-    NonzeroAlternatingSum,
-    NotWeaklyDecreasing,
-    PreconditionViolated,
+    InvalidABSequence,
     alternating_sum,
-    check_pairing_property,
-    check_prefix_sign_property,
     enumerate_sequences,
-    validate,
 )
 from parity_board.partitions import enumerate_partitions
 
@@ -26,40 +22,65 @@ def entries_of(seqs):
     return [d.entries for d in seqs]
 
 
+def running_sums(d):
+    """S_0 = 0, S_1 = -d_1, S_2 = -d_1 + d_2, ..., S_l."""
+    return [0, *accumulate(x if i % 2 else -x for i, x in enumerate(d.entries))]
+
+
+def prefix_signs_alternate(d):
+    """The prefix-sign lemma: no two consecutive running sums S_m, S_{m+1}
+    with m >= 1 are strictly of one sign."""
+    sums = running_sums(d)
+    return all(sums[m] * sums[m + 1] <= 0 for m in range(1, len(d)))
+
+
+def pairs_up_after(d, n):
+    """The pairing lemma's conclusion at n: entries n+1..l form equal
+    adjacent pairs, so l - n is even."""
+    tail = d.entries[n:]
+    return len(tail) % 2 == 0 and tail[0::2] == tail[1::2]
+
+
+def zero_cuts(d):
+    """The n the pairing lemma covers: n >= b - 1 with S_n = 0."""
+    sums = running_sums(d)
+    return [n for n in range(max(d.b - 1, 0), len(d) + 1) if sums[n] == 0]
+
+
 class TestValidate:
     def test_long_example(self):
-        d = validate([7, 8, 9, 10, 11, 11, 8, 7, 5, 5, 4, 3, 1, 1])
+        d = ABSequence((7, 8, 9, 10, 11, 11, 8, 7, 5, 5, 4, 3, 1, 1))
         assert (d.a, d.b, len(d), d.weight) == (6, 5, 14, 90)
         assert alternating_sum(d.entries) == 0
 
     def test_short_example(self):
-        d = validate([2, 3, 1])
+        d = ABSequence((2, 3, 1))
         assert (d.a, d.b, d.weight) == (1, 2, 6)
 
     def test_odd_weight_rejected(self):
-        with pytest.raises(NonzeroAlternatingSum):
-            validate([1, 1, 1])
+        with pytest.raises(InvalidABSequence, match="alternating sum is"):
+            ABSequence((1, 1, 1))
 
     def test_empty(self):
-        d = validate([])
+        d = ABSequence(())
         assert (d.a, d.b, len(d), d.weight, alternating_sum(d.entries)) == (0, 0, 0, 0, 0)
         assert d == EMPTY_SEQUENCE
         assert str(d) == "{}"
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositiveEntry):
-            validate([1, 2, 0, 1])
+        with pytest.raises(InvalidABSequence, match="must be positive"):
+            ABSequence((1, 2, 0, 1))
 
     def test_increase_past_run_rejected(self):
-        with pytest.raises(NotWeaklyDecreasing):
-            validate([1, 2, 3, 1, 2])
+        with pytest.raises(InvalidABSequence, match="exceeds"):
+            ABSequence((1, 2, 3, 1, 2))
 
     def test_idempotent(self):
-        d = validate([6, 6, 3, 3])
-        assert validate(d.entries) == d
+        d = ABSequence((6, 6, 3, 3))
+        assert ABSequence(d.entries) == d
 
     def test_str(self):
-        assert str(validate([6, 6, 3, 3])) == "{6,6,3,3}"
+        assert str(ABSequence((6, 6, 3, 3))) == "{6,6,3,3}"
 
 
 class TestEnumerate:
@@ -105,7 +126,7 @@ class TestEnumerate:
             for d in enumerate_sequences(a, b, n):
                 assert (d.a, d.b) == (a, b)
                 assert d.weight == 2 * n
-                assert validate(d.entries) == d
+                assert ABSequence(d.entries) == d
 
     def test_no_entry_list_under_two_parameter_pairs(self):
         for n in range(11):
@@ -154,34 +175,28 @@ class TestStructuralProperties:
     def test_prefix_sign_property_everywhere(self):
         for a, b, n in GRID:
             for d in enumerate_sequences(a, b, n):
-                assert check_prefix_sign_property(d)
+                assert prefix_signs_alternate(d)
 
     def test_prefix_sign_small(self):
-        assert check_prefix_sign_property(validate([1, 1]))
-        assert check_prefix_sign_property(
-            validate([7, 8, 9, 10, 11, 11, 8, 7, 5, 5, 4, 3, 1, 1])
+        assert prefix_signs_alternate(ABSequence((1, 1)))
+        assert prefix_signs_alternate(
+            ABSequence((7, 8, 9, 10, 11, 11, 8, 7, 5, 5, 4, 3, 1, 1))
         )
 
     def test_pairing_property_everywhere(self):
         for a, b, n in GRID:
             for d in enumerate_sequences(a, b, n):
-                sums = d.prefix_alt_sums()
-                for m in range(max(d.b - 1, 0), len(d) + 1):
-                    if sums[m] == 0:
-                        assert check_pairing_property(d, m)
+                for m in zero_cuts(d):
+                    assert pairs_up_after(d, m)
 
     def test_pairing_minimal(self):
-        assert check_pairing_property(validate([6, 6, 3, 3]), 0)
-        assert check_pairing_property(validate([1, 1]), 0)
-
-    def test_pairing_preconditions(self):
-        d = validate([1, 2, 3, 3, 2, 1])
-        with pytest.raises(PreconditionViolated):
-            check_pairing_property(d, 1)  # S_1 = -1
-        with pytest.raises(PreconditionViolated):
-            check_pairing_property(d, 0)  # below b - 1
-        with pytest.raises(PreconditionViolated):
-            check_pairing_property(d, 9)  # beyond the length
+        for d in (ABSequence((6, 6, 3, 3)), ABSequence((1, 1))):
+            assert 0 in zero_cuts(d)
+            assert pairs_up_after(d, 0)
+        # 0 is below b - 1 = 2, so the lemma does not cover it, and its conclusion fails there
+        d = ABSequence((1, 2, 3, 3, 2, 1))
+        assert zero_cuts(d) == [6]
+        assert not pairs_up_after(d, 0)
 
     def test_single_run_cells_pair_up(self):
         # with b = 1 entries pair as d1=d2 >= d3=d4 >= ..., so halved pairs
@@ -190,7 +205,7 @@ class TestStructuralProperties:
             for n in range(13):
                 seqs = enumerate_sequences(a, 1, n)
                 for d in seqs:
-                    assert check_pairing_property(d, 0)
+                    assert pairs_up_after(d, 0)
                 expected = sum(
                     1
                     for p in enumerate_partitions(n, max_part=a + 1)

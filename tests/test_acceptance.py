@@ -6,13 +6,9 @@ Every check is exact; the stated wall-clock budgets are asserted as well
 
 import time
 from contextlib import contextmanager
+from itertools import accumulate
 
-from parity_board.abseq import (
-    check_pairing_property,
-    check_prefix_sign_property,
-    enumerate_sequences,
-    validate,
-)
+from parity_board.abseq import ABSequence, enumerate_sequences
 from parity_board.bijections import (
     count_strict_by_parts_rank_formula,
     partition_from_sequence,
@@ -65,8 +61,8 @@ def test_criterion_01_table_of_weight_seven_splits(capsys):
 
 def test_criterion_02_offset_six_worked_example():
     with criterion(2, "offset-6 worked example", budget=1.0):
-        seq = validate([7, 8, 9, 10, 11, 11, 8, 7, 5, 5, 4, 3, 1, 1])
-        lam = partition_from_sequence(6, seq)
+        seq = ABSequence((7, 8, 9, 10, 11, 11, 8, 7, 5, 5, 4, 3, 1, 1))
+        lam = partition_from_sequence(seq)
         assert lam == Partition((12, 10, 9, 6, 4, 3, 1))
         assert lam.weight == 45
         assert sequence_from_partition(6, lam) == seq
@@ -110,7 +106,7 @@ def test_criterion_07_closed_form_rank_counts():
         for n in range(31):
             stricts = enumerate_strict_partitions(n)
             for rank in range(-3, 4):
-                brute = sum(1 for s in stricts if bg_rank(s) == rank)
+                brute = sum(1 for s in stricts if bg_rank(s.parts) == rank)
                 assert strict_count_by_rank(rank, n) == brute
 
 
@@ -143,8 +139,12 @@ def test_criterion_10_sign_and_pairing_properties():
             for b in range(1, 9):
                 for n in range(16):
                     for d in enumerate_sequences(a, b, n):
-                        assert check_prefix_sign_property(d)
-                        sums = d.prefix_alt_sums()
+                        # running alternating sums S_0 = 0, S_1 = -d_1, S_2 = -d_1 + d_2, ...
+                        sums = [0, *accumulate(x if i % 2 else -x for i, x in enumerate(d.entries))]
+                        # no two consecutive sums past S_0 are strictly of one sign
+                        assert all(sums[m] * sums[m + 1] <= 0 for m in range(1, len(d)))
+                        # past every zero sum S_m with m >= b - 1 the entries pair up
                         for m in range(max(d.b - 1, 0), len(d) + 1):
                             if sums[m] == 0:
-                                assert check_pairing_property(d, m)
+                                tail = d.entries[m:]
+                                assert len(tail) % 2 == 0 and tail[0::2] == tail[1::2]

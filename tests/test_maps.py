@@ -154,7 +154,7 @@ def test_partition_from_sequence_matches_reference(a):
     for b in range(1, 8):
         for half_weight in range(21):
             for seq in enumerate_sequences(a, b, half_weight):
-                assert partition_from_sequence(a, seq) == reference_partition_from_sequence(a, seq)
+                assert partition_from_sequence(seq) == reference_partition_from_sequence(a, seq)
 
 
 @pytest.mark.parametrize("n", range(26))

@@ -141,7 +141,7 @@ class TestBgRank:
         ],
     )
     def test_examples(self, parts, expected):
-        assert bg_rank(Partition(parts)) == expected
+        assert bg_rank(parts) == expected
 
     def test_chessboard_equality(self):
         # rank equals minus the alternating sum of shifted-diagram columns
@@ -149,7 +149,7 @@ class TestBgRank:
             for s in enumerate_strict_partitions(n):
                 c = columns(s)
                 alt = sum(h if j % 2 else -h for j, h in enumerate(c.cols))
-                assert bg_rank(s) == -alt
+                assert bg_rank(s.parts) == -alt
 
 
 class TestColumns:

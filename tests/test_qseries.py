@@ -189,7 +189,7 @@ class TestCoefficientTable:
 class TestStrictCountByRank:
     def test_rank_minus_one(self):
         expected = [
-            s.parts for s in enumerate_strict_partitions(11) if bg_rank(s) == -1
+            s.parts for s in enumerate_strict_partitions(11) if bg_rank(s.parts) == -1
         ]
         assert expected == [(10, 1), (8, 3), (6, 5), (6, 3, 2), (5, 3, 2, 1)]
         assert strict_count_by_rank(-1, 11) == 5
@@ -199,7 +199,7 @@ class TestStrictCountByRank:
 
     def test_rank_one(self):
         assert [
-            s.parts for s in enumerate_strict_partitions(7) if bg_rank(s) == 1
+            s.parts for s in enumerate_strict_partitions(7) if bg_rank(s.parts) == 1
         ] == [(7,), (5, 2), (4, 2, 1)]
         assert strict_count_by_rank(1, 7) == 3
 
@@ -207,5 +207,5 @@ class TestStrictCountByRank:
         for n in range(26):
             stricts = enumerate_strict_partitions(n)
             for rank in range(-4, 5):
-                brute = sum(1 for s in stricts if bg_rank(s) == rank)
+                brute = sum(1 for s in stricts if bg_rank(s.parts) == rank)
                 assert strict_count_by_rank(rank, n) == brute

@@ -356,8 +356,8 @@ def _off_by_one_entry(*bounds):
     return {**table, key: table[key] + 1}
 
 
-def _first_part_plus_one(a, seq):
-    parts = partition_from_sequence(a, seq).parts
+def _first_part_plus_one(seq):
+    parts = partition_from_sequence(seq).parts
     return Partition((parts[0] + 1,) + parts[1:])
 
 
@@ -379,8 +379,8 @@ def _unsplit_first_part_plus_one(img):
     return StrictPartition((parts[0] + 1,) + parts[1:])
 
 
-def _all_ones(a, seq):
-    return Partition((1,) * partition_from_sequence(a, seq).weight)
+def _all_ones(seq):
+    return Partition((1,) * partition_from_sequence(seq).weight)
 
 
 def _drop_first_entry(parts):
