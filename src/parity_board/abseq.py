@@ -17,7 +17,6 @@ from typing import Iterator, Sequence
 __all__ = [
     "ABSequence",
     "alternating_sum",
-    "EMPTY_SEQUENCE",
     "InvalidABSequence",
     "enumerate_sequences",
     "sequence_tails",
@@ -85,9 +84,6 @@ class ABSequence:
         return "{" + ",".join(map(str, self.entries)) + "}"
 
 
-EMPTY_SEQUENCE = ABSequence(())
-
-
 def _tails(bound: int, rest: int, u: int) -> Iterator[tuple[int, ...]]:
     """Weakly decreasing tails with entries at most ``bound`` and sum ``rest``
     that bring the running alternating sum to 0, in descending lex order.
@@ -130,24 +126,27 @@ def _tails(bound: int, rest: int, u: int) -> Iterator[tuple[int, ...]]:
 def sequence_tails(a: int, b: int, half_weight: int) -> Iterator[tuple[int, ...]]:
     """The entries past the staircase of each sequence of
     :func:`enumerate_sequences`, lazily and in the same order, without
-    building objects; the arguments are checked at the call."""
+    building objects; the arguments are checked at the call.  A staircase of
+    length 0 opens only the empty sequence, whose offset is 0, so the cell
+    b = 0 holds the empty tail when a = half_weight = 0 and nothing else."""
     if a < 0:
         raise ValueError("a must be nonnegative")
-    if b < 1:
-        raise ValueError("b must be positive")
+    if b < 0:
+        raise ValueError("b must be nonnegative")
     if half_weight < 0:
         raise ValueError("half_weight must be nonnegative")
     prefix = range(a + 1, a + b + 1)
     rest = 2 * half_weight - sum(prefix)
     # position b + 1 enters the alternating sum with sign + when it is even
     u = alternating_sum(prefix) if b % 2 else -alternating_sum(prefix)
-    if rest < 0 or u > 0 or -u > min(a + b, rest) or (rest - u) % 2:
+    if rest < 0 or u > 0 or -u > min(a + b, rest) or (rest - u) % 2 or (not b and (a or rest)):
         return iter(())
     return _tails(a + b, rest, u)
 
 
 def enumerate_sequences(a: int, b: int, half_weight: int) -> list[ABSequence]:
-    """All sequences with parameters (a, b) and weight ``2 * half_weight``.
+    """All sequences with parameters (a, b) and weight ``2 * half_weight``;
+    b = 0 is the cell of the empty sequence, as in :func:`sequence_tails`.
 
     The staircase prefix is fixed; tails are generated in descending
     lexicographic order, so the output order is deterministic.

@@ -185,8 +185,6 @@ def sequence_from_partition(a: int, p: Partition) -> ABSequence:
         seq = ABSequence(tuple(entries))
     except InvalidABSequence as exc:
         raise NotInDurfeeClass(f"{p} does not lie over any offset-{a} board filling") from exc
-    if seq.a != a:
-        raise NotInDurfeeClass(f"rebuilt sequence has offset {seq.a}, expected {a}")
     return seq
 
 
@@ -288,9 +286,9 @@ def count_strict_by_parts_rank_formula(k: int, m: int, n: int) -> int:
     :func:`rank_staircase`, so it has at least that many parts.  When m
     exceeds the height the leftovers form a sequence family cell; when m
     equals it they pair up, giving partitions of half the leftover weight
-    with bounded largest part.  Out-of-range (k, m, n) combinations count
-    zero: a weight below m(m+1)/2 leaves either a negative leftover or a
-    cell with no sequences.
+    with parts at most the height, so only the empty one at height 0.
+    Out-of-range (k, m, n) combinations count zero: a weight below
+    m(m+1)/2 leaves either a negative leftover or a cell with no sequences.
     """
     height, weight = rank_staircase(k)
     if m < height:
@@ -300,7 +298,5 @@ def count_strict_by_parts_rank_formula(k: int, m: int, n: int) -> int:
         return 0
     half = leftover // 2
     if m == height:
-        if height == 0:
-            return 1 if half == 0 else 0
         return sum(1 for _ in partition_tuples(half, max_part=height))
     return sum(1 for _ in sequence_tails(height, m - height, half))

@@ -6,8 +6,9 @@ at the larger sweep bounds they take most of the time, so they are lazy
 generators of part tuples with constant amortized work per partition.
 Callers that only count consume the tuples (``partition_tuples``,
 ``strict_partition_tuples``); ``enumerate_*`` wraps the same tuples, in the
-same order, in validated objects.  The tests hold both generators to the
-plain recursive definitions they replace.
+same order, in validated objects, except that the even-only partitions are
+those of half the weight with every part doubled.  The tests hold both
+generators to the plain recursive definitions they replace.
 """
 
 from __future__ import annotations
@@ -108,38 +109,37 @@ class ColumnSequence:
         return "{" + ",".join(map(str, self.cols)) + "}"
 
 
-def _descending(n: int, max_part: int, unit: int = 1) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``n`` into multiples of ``unit`` at most ``max_part``,
-    reverse-lexicographic; ``n`` must be a multiple of ``unit``.
+def _descending(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``n`` with parts at most ``max_part``, reverse-lexicographic.
 
-    Algorithm ZS1 of Zoghbi and Stojmenovic (1998) with ``unit`` in place of
-    1, started at the first partition in that order, ``(k,) * q + (r,)`` with
-    k the largest allowed part.  ``x[:m]`` is the current partition, every
-    entry past index ``h`` equals ``unit``, and each step lowers ``x[h]`` by
-    one unit and refills greedily with parts no larger, so the work per
-    partition is constant amortized.
+    Algorithm ZS1 of Zoghbi and Stojmenovic (1998), started at the first
+    partition in that order, ``(k,) * q + (r,)`` with k = min(n, max_part).
+    ``x[:m]`` is the current partition, every entry past index ``h`` is 1, and
+    each step lowers ``x[h]`` by one and refills greedily with parts no
+    larger, so the work per partition is constant amortized.  A bound of 0
+    leaves only the empty partition of 0.
     """
     if n == 0:
         yield ()
         return
-    k = min(n, max_part) // unit * unit
+    k = min(n, max_part)
     if k < 1:
         return
     q, r = divmod(n, k)
-    x = [k] * q + [unit] * (n // unit - q)
+    x = [k] * q + [1] * (n - q)
     if r:
         x[q] = r
     m = q + (1 if r else 0)
-    h = q if r > unit else (q - 1 if k > unit else -1)
+    h = q if r > 1 else (q - 1 if k > 1 else -1)
     yield tuple(x[:m])
     while h >= 0:
-        if x[h] == 2 * unit:
-            x[h] = unit
+        if x[h] == 2:
+            x[h] = 1
             m += 1
             h -= 1
         else:
-            r = x[h] - unit
-            t = (m - h) * unit
+            r = x[h] - 1
+            t = m - h
             x[h] = r
             while t >= r:
                 h += 1
@@ -149,27 +149,21 @@ def _descending(n: int, max_part: int, unit: int = 1) -> Iterator[tuple[int, ...
                 m = h + 1
             else:
                 m = h + 2
-                if t > unit:
+                if t > 1:
                     h += 1
                     x[h] = t
         yield tuple(x[:m])
 
 
-def partition_tuples(
-    n: int,
-    max_part: Optional[int] = None,
-    even_only: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """The part tuples of :func:`enumerate_partitions`, lazily and in the same
-    order, without building objects; the arguments are checked at the call."""
+def partition_tuples(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The part tuples of :func:`enumerate_partitions` without ``even_only``,
+    lazily and in the same order, without building objects; the arguments
+    are checked at the call."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if max_part is not None and max_part < 1:
-        raise ValueError("max_part must be positive")
-    bound = n if max_part is None else max_part
-    if not even_only:
-        return _descending(n, bound)
-    return _descending(n, bound, unit=2) if n % 2 == 0 else iter(())
+    if max_part is not None and max_part < 0:
+        raise ValueError("max_part must be nonnegative")
+    return _descending(n, n if max_part is None else max_part)
 
 
 def enumerate_partitions(
@@ -180,10 +174,14 @@ def enumerate_partitions(
     """All partitions of ``n``, reverse-lexicographic on part tuples.
 
     ``max_part`` bounds the largest part.  With ``even_only``, only the
-    partitions all of whose parts are even are kept.  The order is fixed so
-    emitted tables are byte-stable.
+    partitions all of whose parts are even: the partitions of n/2 with parts
+    at most max_part/2, every part doubled, which keeps the order, and none
+    for odd ``n``.  The order is fixed so emitted tables are byte-stable.
     """
-    return [Partition(t) for t in partition_tuples(n, max_part, even_only)]
+    if not even_only:
+        return [Partition(t) for t in partition_tuples(n, max_part)]
+    halves = partition_tuples(n // 2, None if max_part is None else max_part // 2)
+    return [] if n % 2 else [Partition(tuple([2 * p for p in t])) for t in halves]
 
 
 def _strict_descending(n: int, num_parts: Optional[int]) -> Iterator[tuple[int, ...]]:

@@ -24,7 +24,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
-from .abseq import ABSequence, EMPTY_SEQUENCE, enumerate_sequences, sequence_tails
+from .abseq import ABSequence, enumerate_sequences, sequence_tails
 from .bijections import (
     count_strict_by_parts_rank_formula,
     durfee_class,
@@ -323,11 +323,7 @@ def _gf_cell(cell: tuple[int, int, int, int]) -> Iterator[Check]:
     """Count one cell by enumeration and compare with the table value it
     carries; the closed form itself is never consulted here."""
     a, b, n, value = cell
-    if b == 0:
-        count = 1 if (a, n) == (0, 0) else 0
-    else:
-        count = sum(1 for _ in sequence_tails(a, b, n))
-    yield "coefficient", {"a": a, "b": b, "n": n}, count, value
+    yield "coefficient", {"a": a, "b": b, "n": n}, sum(1 for _ in sequence_tails(a, b, n)), value
 
 
 def verify_gf(a_max: int = 4, b_max: int = 8, trunc: int = 15, jobs: int = 1) -> VerificationReport:
@@ -350,16 +346,15 @@ def _admissible_splits(n: int) -> list[StaircaseSplit]:
 
     The test reads only the staircase height and the sequence's (a, b), so
     each (height, a, b) cell is taken or left whole by its first sequence.
+    The empty sequence is the one member of the cell (a, b) = (0, 0).
     """
     out: list[StaircaseSplit] = []
     k = 0
     while (t := k * (k + 1) // 2) <= n:
         half, odd = divmod(n - t, 2)
-        if half == odd == 0 and is_valid_split(StaircaseSplit(k, EMPTY_SEQUENCE)):
-            out.append(StaircaseSplit(k, EMPTY_SEQUENCE))
-        # a nonempty sequence has a + 1 <= half and its staircase weighs at most 2 * half
-        for a in range(0 if odd else half):
-            b = 1
+        # a nonempty sequence has a + 1 <= half, and a staircase weighs at most 2 * half
+        for a in range(0 if odd else max(half, 1)):
+            b = 0
             while a * b + b * (b + 1) // 2 <= 2 * half:
                 tail = next(sequence_tails(a, b, half), None)
                 first = None if tail is None else ABSequence(tuple(range(a + 1, a + b + 1)) + tail)
@@ -451,16 +446,17 @@ def verify_euler_vandervelde(n_max: int = 40, jobs: int = 1) -> VerificationRepo
     """Strict partitions of n versus pairs (triangular part, partition into
     even parts) of total weight n, both sides enumerated.
 
-    The partitions into even parts of each weight up to ``n_max`` are
+    Doubling every part maps the partitions of m onto those of 2m into even
+    parts, so the partitions of each half-weight up to ``n_max / 2`` are
     counted once, in this process, and each cell carries the number of pairs
     of its weight; the cell enumerates only the strict side.
     """
-    evens = [sum(1 for _ in partition_tuples(m, even_only=True)) for m in range(n_max + 1)]
+    halves = [sum(1 for _ in partition_tuples(h)) for h in range(n_max // 2 + 1)]
     pairs = [0] * (n_max + 1)
     k = 0
     while (t := k * (k + 1) // 2) <= n_max:
-        for n in range(t, n_max + 1):
-            pairs[n] += evens[n - t]
+        for n in range(t, n_max + 1, 2):
+            pairs[n] += halves[(n - t) // 2]
         k += 1
     cells = list(enumerate(pairs))
     return _sweep("strict-vs-triangular-plus-even", _euler_cell, cells, {"n_max": n_max}, jobs)

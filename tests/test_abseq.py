@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from parity_board.abseq import (
     ABSequence,
-    EMPTY_SEQUENCE,
     InvalidABSequence,
     alternating_sum,
     enumerate_sequences,
@@ -64,7 +63,7 @@ class TestValidate:
     def test_empty(self):
         d = ABSequence(())
         assert (d.a, d.b, len(d), d.weight, alternating_sum(d.entries)) == (0, 0, 0, 0, 0)
-        assert d == EMPTY_SEQUENCE
+        assert enumerate_sequences(0, 0, 0) == [d]
         assert str(d) == "{}"
 
     def test_nonpositive_rejected(self):
@@ -117,9 +116,8 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_sequences(-1, 1, 3)
         with pytest.raises(ValueError):
-            enumerate_sequences(0, 0, 3)
-        with pytest.raises(ValueError):
             enumerate_sequences(0, 1, -2)
+        assert enumerate_sequences(0, 0, 3) == []
 
     def test_canonical_parameters(self):
         for a, b, n in GRID:

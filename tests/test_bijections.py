@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from parity_board.abseq import EMPTY_SEQUENCE, ABSequence, enumerate_sequences
+from parity_board.abseq import ABSequence, enumerate_sequences
 from parity_board.bijections import (
     InternalInvariantViolation,
     InvalidSequence,
@@ -46,9 +46,9 @@ class TestForwardMap:
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidSequence):
-            partition_from_sequence(EMPTY_SEQUENCE)
+            partition_from_sequence(ABSequence(()))
         with pytest.raises(InvalidSequence):
-            partition_from_sequence_by_filling(EMPTY_SEQUENCE)
+            partition_from_sequence_by_filling(ABSequence(()))
 
     def test_agrees_with_filling_oracle(self):
         for a in range(3):
@@ -159,11 +159,11 @@ class TestStaircaseSplit:
 
     def test_staircase_maps_to_empty(self):
         img = split_strict(StrictPartition((3, 2, 1)))
-        assert (img.triangular, img.seq) == (6, EMPTY_SEQUENCE)
+        assert (img.triangular, img.seq) == (6, ABSequence(()))
 
     def test_empty_partition(self):
         img = split_strict(StrictPartition(()))
-        assert (img.triangular, img.seq) == (0, EMPTY_SEQUENCE)
+        assert (img.triangular, img.seq) == (0, ABSequence(()))
         assert unsplit_strict(img) == StrictPartition(())
 
     def test_round_trip(self):
@@ -192,7 +192,7 @@ class TestStaircaseSplit:
 
     def test_negative_height_rejected(self):
         with pytest.raises(ValueError):
-            StaircaseSplit(-1, EMPTY_SEQUENCE)
+            StaircaseSplit(-1, ABSequence(()))
 
     @pytest.mark.parametrize(
         "height,entries,ok",
@@ -210,7 +210,7 @@ class TestStaircaseSplit:
 
     def test_unsplit_examples(self):
         assert unsplit_strict(StaircaseSplit(2, ABSequence((2, 2)))).parts == (4, 3)
-        assert unsplit_strict(StaircaseSplit(3, EMPTY_SEQUENCE)).parts == (3, 2, 1)
+        assert unsplit_strict(StaircaseSplit(3, ABSequence(()))).parts == (3, 2, 1)
         assert unsplit_strict(StaircaseSplit(1, ABSequence((2, 2, 1, 1)))).parts == (5, 2)
 
     def test_unsplit_rejects_non_image(self):
@@ -221,7 +221,7 @@ class TestStaircaseSplit:
         # every admissible pair with triangular <= 21 and remnant weight <= 30
         # is hit by a strict partition
         for k in range(7):
-            candidates = [StaircaseSplit(k, EMPTY_SEQUENCE)]
+            candidates = [StaircaseSplit(k, ABSequence(()))]
             for half in range(1, 16):
                 for b in range(1, 16):
                     if k * b + b * (b + 1) // 2 > 2 * half:

@@ -8,11 +8,12 @@ list, order included.
 import pytest
 
 from parity_board.abseq import alternating_sum, sequence_tails
-from parity_board.bijections import rank_histogram
+from parity_board.bijections import count_strict_by_parts_rank_formula, rank_histogram
 from parity_board.partitions import (
     _descending,
     _strict_descending,
     bg_rank,
+    enumerate_partitions,
     enumerate_strict_partitions,
     partition_tuples,
     strict_partition_tuples,
@@ -63,11 +64,11 @@ def test_zs1_matches_recursion(n):
 
 @pytest.mark.parametrize("n", range(31))
 def test_even_only_matches_doubled_recursion(n):
-    for max_part in [None, *range(1, n + 2)]:
+    for max_part in [None, *range(n + 2)]:
         half = n // 2
         bound = half if max_part is None else min(max_part // 2, half)
         expected = [] if n % 2 else [tuple(2 * p for p in t) for t in reference_descending(half, bound)]
-        assert list(partition_tuples(n, max_part, even_only=True)) == expected
+        assert [p.parts for p in enumerate_partitions(n, max_part, even_only=True)] == expected
 
 
 @pytest.mark.parametrize("n", range(31))
@@ -84,7 +85,7 @@ def test_pruned_tails_match_unpruned():
                 assert list(sequence_tails(a, b, n)) == unpruned_tails(a, b, n), (a, b, n)
 
 
-def test_memoized_rank_counts_match_direct_filter():
+def test_rank_histogram_matches_direct_filter():
     for k in range(-3, 4):
         for m in range(7):
             for n in range(26):
@@ -97,7 +98,6 @@ def test_memoized_rank_counts_match_direct_filter():
 def test_enumerators_are_lazy():
     # far beyond any weight that could be listed: only the first row is made
     assert next(partition_tuples(10_000)) == (10_000,)
-    assert next(partition_tuples(10_000, even_only=True)) == (10_000,)
     assert next(strict_partition_tuples(10_000)) == (10_000,)
     assert next(strict_partition_tuples(10_000, num_parts=3)) == (9_997, 2, 1)
     assert next(sequence_tails(0, 2, 5_000)) == (2,) * 4_998 + (1,)
@@ -107,14 +107,33 @@ def test_enumerators_are_lazy():
     "call",
     [
         lambda: partition_tuples(-1),
-        lambda: partition_tuples(3, max_part=0),
+        lambda: partition_tuples(3, max_part=-1),
         lambda: strict_partition_tuples(-1),
         lambda: strict_partition_tuples(3, num_parts=-1),
         lambda: sequence_tails(-1, 1, 3),
-        lambda: sequence_tails(0, 0, 3),
+        lambda: sequence_tails(0, -1, 3),
         lambda: sequence_tails(0, 1, -1),
     ],
 )
 def test_bad_arguments_raise_at_the_call(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: list(partition_tuples(0, 0)), [()]),
+        (lambda: list(partition_tuples(3, 0)), []),
+        (lambda: list(sequence_tails(0, 0, 0)), [()]),
+        (lambda: list(sequence_tails(2, 0, 0)), []),
+        (lambda: list(sequence_tails(0, 0, 3)), []),
+        (lambda: [count_strict_by_parts_rank_formula(0, 0, n) for n in range(5)], [1, 0, 0, 0, 0]),
+    ],
+    ids=["parts-0-of-0", "parts-0-of-3", "tails-a0-b0-n0", "tails-a2-b0-n0", "tails-a0-b0-n3", "formula-k0-m0"],
+)
+def test_zero_bounds_are_ordinary_cells(call, expected):
+    """A bound of 0 is a cell like any other: the partitions with parts at
+    most 0 and the sequences with an empty staircase are the empty one alone,
+    so the closed form counts one strict partition of BG-rank 0 with 0 parts."""
+    assert call() == expected

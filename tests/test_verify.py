@@ -619,9 +619,10 @@ def test_iota_maps_each_strict_partition_once(monkeypatch):
 
 
 def test_euler_counts_each_even_part_weight_once(monkeypatch):
-    """The even-part side is enumerated once per weight 0..20, in this process."""
+    """The even-part side is enumerated once per half-weight 0..10, in this
+    process: the partitions of m, doubled, are those of 2m into even parts."""
     calls = _counting(monkeypatch, verify, "partition_tuples")
     report = verify_euler_vandervelde(20)
     assert report.passed
     assert report.checks_run == 21
-    assert calls == [(m,) for m in range(21)]
+    assert calls == [(h,) for h in range(11)]
