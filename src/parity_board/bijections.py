@@ -27,7 +27,6 @@ from typing import Sequence
 
 from .abseq import ABSequence, InvalidABSequence, alternating_sum, sequence_tails
 from .partitions import (
-    ColumnSequence,
     Partition,
     StrictPartition,
     bg_rank,
@@ -229,17 +228,18 @@ def split_strict(s: StrictPartition) -> StaircaseSplit:
     """Split a strict partition into a balanced staircase and a remnant.
 
     The staircase is the BG-rank staircase of :func:`rank_staircase`, the
-    BG-rank being minus the alternating sum A of the shifted-diagram
-    columns.  Their running alternating sums start 0, -1, 1, -2, 2, ..., so
-    A is first attained at its height k, and the columns past k form a valid
-    sequence.  Weight is preserved: |s| = triangular + remnant weight.
+    BG-rank being minus the alternating sum A of the column heights that
+    :func:`columns` gives.  Their running alternating sums start 0, -1, 1,
+    -2, 2, ..., so A is first attained at its height k, and the heights past
+    k form a valid sequence.  Weight is preserved: |s| = triangular +
+    remnant weight.
     """
     profile = columns(s)
-    k = rank_staircase(-alternating_sum(profile.cols))[0]
+    k = rank_staircase(-alternating_sum(profile))[0]
     if k > len(s.parts):
         raise InternalInvariantViolation(f"split point {k} exceeds the {len(s.parts)} rows of {s}")
     try:
-        seq = ABSequence(profile.cols[k:])
+        seq = ABSequence(profile[k:])
     except InvalidABSequence as exc:
         raise InternalInvariantViolation(f"columns of {s} past {k} are not a valid sequence") from exc
     return StaircaseSplit(k, seq)
@@ -263,12 +263,12 @@ def unsplit_strict(img: StaircaseSplit) -> StrictPartition:
     """Rebuild the strict partition from a valid split.
 
     Prepends columns of heights 1, 2, ..., height to the remnant's entries
-    and reads the shifted diagram back off the combined profile.
+    and reads the shifted diagram back off the combined heights with
+    :func:`from_columns`, which checks them.
     """
     if not is_valid_split(img):
         raise NotInSplitImage(f"{img} is not the split of any strict partition")
-    cols = tuple(range(1, img.height + 1)) + img.seq.entries
-    return from_columns(ColumnSequence(cols))
+    return from_columns(tuple(range(1, img.height + 1)) + img.seq.entries)
 
 
 def rank_histogram(m: int, n: int) -> Counter:

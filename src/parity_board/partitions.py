@@ -19,7 +19,6 @@ from typing import Iterator, Optional, Sequence
 __all__ = [
     "Partition",
     "StrictPartition",
-    "ColumnSequence",
     "MalformedColumns",
     "enumerate_partitions",
     "enumerate_strict_partitions",
@@ -70,43 +69,6 @@ class StrictPartition(Partition):
         for i in range(1, len(self.parts)):
             if self.parts[i - 1] <= self.parts[i]:
                 raise ValueError("parts must be strictly decreasing")
-
-
-@dataclass(frozen=True)
-class ColumnSequence:
-    """Column heights of a shifted diagram, read left to right.
-
-    A valid profile is a staircase prefix 1, 2, ..., m followed by a weakly
-    decreasing positive tail; the tail is automatically bounded by m.
-    """
-
-    cols: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        cols = self.cols
-        for c in cols:
-            if c < 1:
-                raise MalformedColumns(f"column heights must be positive, got {c}")
-        m = self.staircase_height
-        if cols and m == 0:
-            raise MalformedColumns("first column height must be 1")
-        for i in range(m - 1, len(cols) - 1):
-            if cols[i] < cols[i + 1]:
-                raise MalformedColumns("columns past the staircase must be weakly decreasing")
-
-    @property
-    def staircase_height(self) -> int:
-        """Length m of the maximal staircase prefix 1, 2, ..., m."""
-        m = 0
-        while m < len(self.cols) and self.cols[m] == m + 1:
-            m += 1
-        return m
-
-    def __len__(self) -> int:
-        return len(self.cols)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(map(str, self.cols)) + "}"
 
 
 def _descending(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -309,23 +271,33 @@ def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(ends)
 
 
-def columns(s: StrictPartition) -> ColumnSequence:
-    """Column heights of the shifted diagram of ``s``.
+def columns(s: StrictPartition) -> tuple[int, ...]:
+    """Column heights of the shifted diagram of ``s``, read left to right.
 
     Row i of the shifted diagram is indented i-1 cells, so it occupies
     columns i through part_i + i - 1.  Those ends weakly decrease, so
     column j holds rows 1 .. min(j, the j-th entry of conjugate(ends)).
+    The heights are a staircase 1, 2, ..., len(s) and then weakly decrease.
     """
     reach = conjugate([part + i for i, part in enumerate(s.parts)])
     # from a list: a tuple made from an iterator is over-allocated, and the sweeps keep many
-    return ColumnSequence(tuple([min(j, r) for j, r in enumerate(reach, start=1)]))
+    return tuple([min(j, r) for j, r in enumerate(reach, start=1)])
 
 
-def from_columns(c: ColumnSequence) -> StrictPartition:
-    """The unique strict partition whose shifted diagram has profile ``c``.
+def from_columns(cols: Sequence[int]) -> StrictPartition:
+    """The unique strict partition whose shifted diagram has column heights
+    ``cols``; the inverse of :func:`columns`.
 
-    Staircase columns j < i are too short for row i, and no later column
-    outgrows the staircase, so the parts are the conjugate of the profile.
-    Round-trips with :func:`columns`.
+    The heights must be a staircase 1, 2, ..., m followed by a weakly
+    decreasing positive tail, which is then bounded by m; anything else
+    raises :class:`MalformedColumns`.  Staircase columns j < i are too short
+    for row i, and no later column outgrows the staircase, so the parts are
+    the conjugate of the heights.
     """
-    return StrictPartition(conjugate(c.cols))
+    m = 0
+    while m < len(cols) and cols[m] == m + 1:
+        m += 1
+    tail = cols[m - 1:]
+    if cols and not (m and tail[-1] >= 1 and all(x >= y for x, y in zip(tail, tail[1:]))):
+        raise MalformedColumns(f"{cols} is not a staircase 1, ..., m and a weakly decreasing positive tail")
+    return StrictPartition(conjugate(cols))

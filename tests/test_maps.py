@@ -11,6 +11,7 @@ give the identical result, or raise the identical exception.
 the earlier a-Durfee rectangle and the yes/no test of one (a, b) class.
 """
 
+import itertools
 import random
 from collections import namedtuple
 
@@ -26,7 +27,7 @@ from parity_board.bijections import (
     sequence_from_partition,
 )
 from parity_board.partitions import (
-    ColumnSequence,
+    MalformedColumns,
     Partition,
     StrictPartition,
     columns,
@@ -46,13 +47,15 @@ def reference_columns(s):
             if i <= j <= i + part - 1:
                 h += 1
         heights.append(h)
-    return ColumnSequence(tuple(heights))
+    return tuple(heights)
 
 
-def reference_from_columns(c):
-    m = c.staircase_height
+def reference_from_columns(cols):
+    m = 0
+    while m < len(cols) and cols[m] == m + 1:
+        m += 1
     parts = tuple(
-        sum(1 for j in range(i - 1, len(c.cols)) if c.cols[j] >= i)
+        sum(1 for j in range(i - 1, len(cols)) if cols[j] >= i)
         for i in range(1, m + 1)
     )
     return StrictPartition(parts)
@@ -147,6 +150,26 @@ def test_columns_and_from_columns_match_reference(n):
         profile = columns(s)
         assert profile == reference_columns(s)
         assert from_columns(profile) == reference_from_columns(profile) == s
+
+
+def test_from_columns_accepts_exactly_the_shifted_profiles():
+    """Of every tuple of at most 7 heights in 0..4, ``from_columns`` accepts
+    exactly the profiles of strict partitions and inverts each; all others
+    raise.  Those profiles are the 99 subsets of {1, ..., 7} with at most 4
+    parts, all of weight at most 22, so weight 28 covers them."""
+    profiles = {
+        reference_columns(StrictPartition(t)) for n in range(29) for t in strict_partition_tuples(n)
+    }
+    accepted = set()
+    for length in range(8):
+        for cols in itertools.product(range(5), repeat=length):
+            if cols in profiles:
+                assert columns(from_columns(cols)) == cols
+                accepted.add(cols)
+            else:
+                with pytest.raises(MalformedColumns):
+                    from_columns(cols)
+    assert len(accepted) == 99
 
 
 @pytest.mark.parametrize("a", range(6))

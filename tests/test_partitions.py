@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from parity_board.bijections import durfee_class
 from parity_board.partitions import (
-    ColumnSequence,
     MalformedColumns,
     Partition,
     StrictPartition,
@@ -147,45 +146,44 @@ class TestBgRank:
         for n in range(26):
             for s in enumerate_strict_partitions(n):
                 c = columns(s)
-                alt = sum(h if j % 2 else -h for j, h in enumerate(c.cols))
+                alt = sum(h if j % 2 else -h for j, h in enumerate(c))
                 assert bg_rank(s.parts) == -alt
 
 
 class TestColumns:
     def test_example(self):
-        assert columns(StrictPartition((7, 4, 3, 1))).cols == (1, 2, 3, 4, 3, 1, 1)
+        assert columns(StrictPartition((7, 4, 3, 1))) == (1, 2, 3, 4, 3, 1, 1)
 
     def test_single_cell(self):
-        assert columns(StrictPartition((1,))).cols == (1,)
+        assert columns(StrictPartition((1,))) == (1,)
 
     def test_staircase_then_tail(self):
-        assert columns(StrictPartition((4, 2, 1))).cols == (1, 2, 3, 1)
+        assert columns(StrictPartition((4, 2, 1))) == (1, 2, 3, 1)
 
     def test_empty(self):
-        assert columns(StrictPartition(())).cols == ()
+        assert columns(StrictPartition(())) == ()
 
     def test_structure_invariant(self):
         for n in range(26):
             for s in enumerate_strict_partitions(n):
                 c = columns(s)
-                m = c.staircase_height
-                assert m == len(s)
-                assert all(c.cols[i] == i + 1 for i in range(m))
-                tail = c.cols[max(m - 1, 0):]
+                m = len(s)
+                assert c[:m] == tuple(range(1, m + 1))
+                tail = c[max(m - 1, 0):]
                 assert all(x >= y for x, y in zip(tail, tail[1:]))
 
 
 class TestFromColumns:
     def test_inverse_of_example(self):
-        assert from_columns(ColumnSequence((1, 2, 3, 4, 3, 1, 1))).parts == (7, 4, 3, 1)
+        assert from_columns((1, 2, 3, 4, 3, 1, 1)).parts == (7, 4, 3, 1)
 
     def test_single(self):
-        assert from_columns(ColumnSequence((1,))).parts == (1,)
+        assert from_columns((1,)).parts == (1,)
 
     def test_two_column_profile(self):
-        # oracle: columns((4, 2)) is {1,2,2,1}, so this must invert to (4, 2)
-        assert columns(StrictPartition((4, 2))).cols == (1, 2, 2, 1)
-        assert from_columns(ColumnSequence((1, 2, 2, 1))).parts == (4, 2)
+        # oracle: columns((4, 2)) is (1, 2, 2, 1), so this must invert to (4, 2)
+        assert columns(StrictPartition((4, 2))) == (1, 2, 2, 1)
+        assert from_columns((1, 2, 2, 1)).parts == (4, 2)
 
     def test_round_trip(self):
         for n in range(26):
@@ -195,7 +193,7 @@ class TestFromColumns:
     @pytest.mark.parametrize("cols", [(2, 2), (1, 1, 2), (1, 2, 2, 3), (1, 2, 0)])
     def test_malformed_rejected(self, cols):
         with pytest.raises(MalformedColumns):
-            ColumnSequence(cols)
+            from_columns(cols)
 
     @given(strict_partitions)
     def test_round_trip_random(self, s):

@@ -1,13 +1,17 @@
-"""The README's library example runs as written, and its list of each
-sweep's laws is the one ``verify.py`` yields."""
+"""The README's library example runs as written, its command lines are the
+benchmark's ``pinned`` workload, and its list of each sweep's laws is the one
+``verify.py`` yields."""
 
 import ast
+import importlib.util
 import re
+import shlex
 from pathlib import Path
 
 from parity_board import tables, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKLOADS = README.parent / "perfbench" / "workloads.py"
 
 
 def _library_example() -> str:
@@ -50,3 +54,18 @@ def test_readme_lists_each_sweeps_laws_in_report_order():
         for line in re.finditer(r"^- `(verify-[\w-]+)`: (.*)$", section, re.MULTILINE)
     }
     assert listed == expected
+
+
+def test_readme_command_lines_are_the_pinned_workload():
+    """Every ``parity-board`` line of the README's command block, its ``#``
+    comment dropped, is a ``pinned`` invocation, in order, so each one is
+    checked against the golden outputs (``tests/test_golden.py``)."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = tuple(
+        tuple(shlex.split(line, comments=True)[1:]) for line in block.splitlines() if line.startswith("parity-board ")
+    )
+    spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert commands == workloads.PINNED

@@ -547,6 +547,37 @@ def test_iota_fails_when_conjugate_drops_its_last_entry(monkeypatch):
     assert {m.law for m in report.mismatches} == {"weight-additivity", "round-trip", "completeness"}
 
 
+def _drop_last_column(s):
+    return partitions.columns(s)[:-1]
+
+
+def _swap_last_two_columns(s):
+    cols = partitions.columns(s)
+    return cols[:-2] + (cols[-1], cols[-2]) if len(cols) > 1 and cols[-2] != cols[-1] else cols
+
+
+@pytest.mark.parametrize(
+    "broken, laws, mismatches",
+    [
+        (_drop_last_column, {"weight-additivity", "round-trip", "completeness"}, 207),
+        (_swap_last_two_columns, {"weight-additivity", "completeness"}, 34),
+    ],
+    ids=["drops-last", "swaps-last-two"],
+)
+def test_iota_fails_when_columns_is_broken(monkeypatch, broken, laws, mismatches):
+    """``columns`` returns a plain tuple that nothing checks on the way out,
+    so a malformed profile reaches ``split_strict``: dropping the last column
+    loses weight, and swapping the last two leaves no valid remnant, which
+    ``split_strict`` raises on."""
+    monkeypatch.setattr(bijections, "columns", broken)
+    report = verify_iota(12)
+    assert {m.law for m in report.mismatches} == laws
+    assert len(report.mismatches) == mismatches
+    sharded = verify_iota(12, jobs=3)
+    assert list(sharded.tsv_lines()) == list(report.tsv_lines())
+    assert list(sharded.json_lines()) == list(report.json_lines())
+
+
 def test_a_raising_map_is_reported_by_name():
     """The mismatch names what the map raised, and only the checks that need
     the map's result are skipped: the class, round-trip and board checks of
