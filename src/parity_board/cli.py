@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="emit a named table")
     kinds = p.add_subparsers(dest="kind", required=True)
-    for kind, sweep in tables.TABLE_KINDS.items():
-        pt = kinds.add_parser(kind)
+    for kind, (sweep, help_text) in tables.TABLE_KINDS.items():
+        pt = kinds.add_parser(kind, help=help_text)
         if sweep is None:
             pt.add_argument("--n", type=_nonnegative, required=True)
         else:

@@ -32,9 +32,15 @@ __all__ = [
 ]
 
 FORMATS = ("tsv", "json-lines")
-# Table kind -> name of the sweep in ``verify`` whose grid parameters (and
-# defaults) it reads, or None for a kind that reads only the weight ``n``.
-TABLE_KINDS = {"table1": None, "s-coeffs": "verify_gf", "theorem34": "verify_theorem34", "counts": None}
+# Table kind -> (name of the sweep in ``verify`` whose grid parameters (and
+# defaults) it reads, or None for a kind that reads only the weight ``n``;
+# help text).
+TABLE_KINDS: dict[str, tuple[Optional[str], str]] = {
+    "table1": (None, "strict partitions of n -> (triangular, sequence)"),
+    "s-coeffs": ("verify_gf", "generating function coefficients by (a, b, n)"),
+    "theorem34": ("verify_theorem34", "counts by (parts, BG-rank), enumerated vs closed form"),
+    "counts": (None, "p(m) and the strict partition count for each m <= n"),
+}
 # ``enumerate`` kind -> (name of its emitter in this module, help text).
 # Each emitter's signature declares the kind's flags and defaults.
 ENUMERATIONS: dict[str, tuple[str, str]] = {

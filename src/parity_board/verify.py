@@ -41,7 +41,6 @@ from .partitions import (
     bg_rank,
     enumerate_strict_partitions,
     partition_tuples,
-    rank_staircase,
     strict_partition_tuples,
 )
 from .qseries import gf_coefficients, strict_count_by_rank
@@ -50,7 +49,6 @@ __all__ = [
     "SWEEPS",
     "Mismatch",
     "VerificationReport",
-    "CONGRUENCE_FAMILIES",
     "verify_bijection_phi",
     "verify_gf",
     "verify_iota",
@@ -292,16 +290,17 @@ def _phi_cell(cell: tuple[int, int, int, int]) -> Iterator[Check]:
             yield "round-trip", where, seq, _outcome(sequence_from_partition, a, lam)
         yield "board-oracle", where, lam, _outcome(partition_from_sequence_by_filling, seq)
     yield "cardinality", {"a": a, "b": b, "n": n}, members, len(seqs)
+    yield "distinct", {"a": a, "b": b, "n": n}, len(seqs), len({seq.entries for seq in seqs})
 
 
 def verify_bijection_phi(a_max: int = 3, b_max: int = 4, n_max: int = 12, jobs: int = 1) -> VerificationReport:
     """Exhaustive check of the sequence <-> partition correspondence.
 
     On every (a, b, half-weight) cell: round trip, halved weight, class
-    membership, agreement with the literal board filling, and equality of
-    the two cardinalities.  The class members are counted in one pass over
-    the partitions of each n, keyed by :func:`durfee_class`, and each cell
-    carries its count.
+    membership, agreement with the literal board filling, equality of the
+    two cardinalities, and that the cell's sequences are distinct.  The
+    class members are counted in one pass over the partitions of each n,
+    keyed by :func:`durfee_class`, and each cell carries its count.
     """
     members = Counter(
         (a, durfee_class(t, a), n)
@@ -396,13 +395,14 @@ def _iota_cell(n: int) -> Iterator[Check]:
         found = split_of_one if (pair.height, pair.seq.entries) in keys else "no strict partition's split"
         yield "completeness", {"n": n, "pair": pair}, split_of_one, found
     yield "pair-count", {"n": n}, len(stricts), len(pairs)
+    yield "distinct", {"n": n}, len(pairs), len({(pair.height, pair.seq.entries) for pair in pairs})
 
 
 def verify_iota(n_max: int = 25, jobs: int = 1) -> VerificationReport:
     """Check the staircase split on all strict partitions up to ``n_max``:
     round trip, weight additivity, injectivity, that the image
     characterization is sound and complete, and that the admissible pairs
-    are as many as the strict partitions."""
+    are distinct and as many as the strict partitions."""
     cells = list(range(n_max + 1))
     return _sweep("strict-staircase-split", _iota_cell, cells, {"n_max": n_max}, jobs)
 
@@ -462,22 +462,6 @@ def verify_euler_vandervelde(n_max: int = 40, jobs: int = 1) -> VerificationRepo
     return _sweep("strict-vs-triangular-plus-even", _euler_cell, cells, {"n_max": n_max}, jobs)
 
 
-# (residue of n mod 10, residues of the rank mod 10) for the six families
-# whose closed-form count is divisible by 5
-CONGRUENCE_FAMILIES: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (1, (9,)),
-    (3, (3, 5)),
-    (4, (2, 6)),
-    (6, (4,)),
-    (8, (0, 8)),
-    (9, (1, 7)),
-)
-
-
-# residue of the rank mod 10 -> residue of n mod 10 of its family
-_FAMILY_OF_RANK = {r: n_res for n_res, rank_residues in CONGRUENCE_FAMILIES for r in rank_residues}
-
-
 def _congruence_cell(cell: tuple[int, int]) -> Iterator[Check]:
     rank, n = cell
     where = {"rank": rank, "n": n}
@@ -488,18 +472,22 @@ def _congruence_cell(cell: tuple[int, int]) -> Iterator[Check]:
 
 
 def verify_congruences(n_max: int = 101, jobs: int = 1) -> VerificationReport:
-    """Scan the six mod-5 families for ranks of absolute value at most 5.
+    """Scan the mod-5 families of the counts by BG-rank, for ranks of absolute
+    value at most 5.
 
-    Cells below the least admissible weight, zero by the weight bound, are
-    left out of the grid and counted as skipped rather than passed vacuously;
-    where the weight also stays within brute-force range the closed-form
-    count is cross-checked against direct enumeration.
+    The strict partitions of n with BG-rank r number p((n - t) / 2), where
+    t = r(2r - 1) is the weight of the rank's staircase, and 5 divides
+    p(5j + 4), so rank r's family is n = t + 8 + 10j.  The weights of that
+    residue below t, where the count is zero, are left out of the grid and
+    counted as skipped rather than passed vacuously; where the weight also
+    stays within brute-force range the closed-form count is cross-checked
+    against direct enumeration.  The grid writes t out rather than reading
+    the closed form's staircase, so a wrong staircase weight moves the count
+    off its family and trips ``mod-5``.
     """
     cells, skipped = [], 0
     for rank in range(-5, 6):
-        weights = range(_FAMILY_OF_RANK[rank % 10], n_max + 1, 10)
-        least = rank_staircase(rank)[1]
-        kept = [(rank, n) for n in weights if n >= least]
-        cells += kept
-        skipped += len(weights) - len(kept)
+        t = rank * (2 * rank - 1)
+        cells += [(rank, n) for n in range(t + 8, n_max + 1, 10)]
+        skipped += len(range((t + 8) % 10, min(t, n_max + 1), 10))
     return _sweep("rank-count-congruences-mod5", _congruence_cell, cells, {"n_max": n_max}, jobs, skipped)

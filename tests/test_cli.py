@@ -162,13 +162,19 @@ class TestEnumerate:
         assert args["format"] == params["fmt"].default
 
     @pytest.mark.parametrize(
-        "kind, text",
-        [("partitions", "--even-only keep all-even partitions only"), ("strict", "--parts PARTS exact number of parts")],
-        ids=["partitions", "strict"],
+        "argv, text",
+        [
+            (["enumerate", "partitions"], "--even-only keep all-even partitions only"),
+            (["enumerate", "strict"], "--parts PARTS exact number of parts"),
+            *((["table"], f"{kind} {help_text}") for kind, (_, help_text) in tables.TABLE_KINDS.items()),
+        ],
+        ids=["partitions", "strict", *(f"table-{kind}" for kind in tables.TABLE_KINDS)],
     )
-    def test_help_describes_the_flag(self, capsys, kind, text):
+    def test_help_describes_the_flag(self, capsys, argv, text):
+        """An ``enumerate`` kind's help describes its flags, and ``table``'s
+        help describes each of its kinds."""
         with pytest.raises(SystemExit) as exc:
-            main(["enumerate", kind, "--help"])
+            main([*argv, "--help"])
         assert exc.value.code == 0
         assert text in " ".join(capsys.readouterr().out.split())
 

@@ -19,8 +19,8 @@ def _exported(tree: ast.Module) -> set[str]:
 
 def _read_outside_all(tree: ast.Module) -> set[str]:
     """Each name, attribute and string constant ``tree`` loads outside its
-    ``__all__``; string constants are how the ``SWEEPS`` and ``ENUMERATIONS``
-    registries name the functions they dispatch to."""
+    ``__all__``; string constants are how the ``SWEEPS``, ``ENUMERATIONS``
+    and ``TABLE_KINDS`` registries name the functions they dispatch to."""
     read = set()
     for node in (n for stmt in tree.body if not _is_all(stmt) for n in ast.walk(stmt)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):

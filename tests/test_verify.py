@@ -3,13 +3,14 @@ import contextlib
 import itertools
 import os
 import signal
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from parity_board import bijections, partitions, verify
-from parity_board.abseq import alternating_sum, enumerate_sequences
+from parity_board.abseq import alternating_sum, enumerate_sequences, sequence_tails
 from parity_board.bijections import (
     StaircaseSplit,
     count_strict_by_parts_rank_formula,
@@ -20,7 +21,6 @@ from parity_board.bijections import (
 from parity_board.partitions import Partition, StrictPartition, partition_tuples, strict_partition_tuples
 from parity_board.qseries import gf_coefficients, strict_count_by_rank
 from parity_board.verify import (
-    CONGRUENCE_FAMILIES,
     Mismatch,
     VerificationReport,
     verify_bijection_phi,
@@ -81,30 +81,55 @@ def test_gf_handles_run_length_zero_slice():
     assert report.passed
 
 
+# (residue of n mod 10, residues of the rank mod 10) for the six families
+# whose closed-form count is divisible by 5, as tabulated by hand: the oracle
+# that the congruence sweep's derived grid is held to.
+CONGRUENCE_FAMILIES = (
+    (1, (9,)),
+    (3, (3, 5)),
+    (4, (2, 6)),
+    (6, (4,)),
+    (8, (0, 8)),
+    (9, (1, 7)),
+)
+
+
+def _family_grid(n_max):
+    """The congruence sweep's cells, in grid order, and its skipped count, read
+    off ``CONGRUENCE_FAMILIES``: each family weight at or above the rank's
+    staircase weight is a cell, and each one below it is skipped."""
+    cells, skipped = [], 0
+    for rank in range(-5, 6):
+        (start,) = [n_res for n_res, ranks in CONGRUENCE_FAMILIES if rank % 10 in ranks]
+        floor = rank * (2 * rank - 1)
+        weights = range(start, n_max + 1, 10)
+        kept = [(rank, n) for n in weights if n >= floor]
+        cells += kept
+        skipped += len(weights) - len(kept)
+    return cells, skipped
+
+
 def test_congruence_families_cover_expected_residues():
-    assert CONGRUENCE_FAMILIES == (
-        (1, (9,)),
-        (3, (3, 5)),
-        (4, (2, 6)),
-        (6, (4,)),
-        (8, (0, 8)),
-        (9, (1, 7)),
-    )
+    """Each rank residue lies in one family, and the closed-form count of every
+    rank up to 15 in absolute value is divisible by 5 on its family."""
+    assert sorted(r for _, ranks in CONGRUENCE_FAMILIES for r in ranks) == list(range(10))
+    for n_res, ranks in CONGRUENCE_FAMILIES:
+        for rank in (r for r in range(-15, 16) if r % 10 in ranks):
+            assert [strict_count_by_rank(rank, n) % 5 for n in range(n_res, 600, 10)] == [0] * 60
 
 
 def test_congruences_record_skipped_cells():
     report = verify_congruences(101)
     assert report.passed
-    # cells below the staircase weight for each rank in [-5, 5]
-    expected_skips = 0
-    for rank in range(-5, 6):
-        rank_residue = rank % 10
-        residues = [r for r, js in CONGRUENCE_FAMILIES if rank_residue in js]
-        assert len(residues) == 1
-        start = residues[0]
-        floor = rank * (2 * rank - 1)
-        expected_skips += sum(1 for n in range(start, 102, 10) if n < floor)
-    assert report.skipped == expected_skips == 25
+    assert report.skipped == _family_grid(101)[1] == 25
+
+
+def test_congruence_grid_is_the_literal_families(monkeypatch):
+    """The grid derived from p(5j + 4) and the staircase weight has the cells,
+    in order, and the skipped count that the literal families give, for every
+    bound; ``_sweep`` is replaced, so no cell runs."""
+    monkeypatch.setattr(verify, "_sweep", lambda subject, cell, cells, params, jobs, skipped: (cells, skipped))
+    assert [verify_congruences(n_max) for n_max in range(2102)] == [_family_grid(n_max) for n_max in range(2102)]
 
 
 def test_failure_report_rendering():
@@ -387,6 +412,12 @@ def _drop_first_entry(parts):
     return partitions.conjugate(parts)[1:]
 
 
+def _first_tail_again_for_last(a, b, half_weight):
+    """The tails, except that the first one comes again in place of the last."""
+    tails = list(sequence_tails(a, b, half_weight))
+    return iter(tails[:-1] + tails[:1])
+
+
 def _second_sent_to_first(s):
     """The split, except that the second strict partition of each weight
     is sent to the first one's image."""
@@ -408,7 +439,8 @@ def _second_sent_to_first(s):
 # sends two partitions to one image fails injectivity, and a sequence
 # enumerator that drops a row fails only the cardinality.  The strict
 # enumerator that drops a row breaks the side that euler computes once and
-# reuses.
+# reuses.  Tails that repeat the first in place of the last keep every count
+# and every object valid, so only ``distinct`` sees them.
 FAULTS = {
     "partition_from_sequence": (
         lambda jobs=1: verify_bijection_phi(2, 3, 6, jobs=jobs),
@@ -494,6 +526,18 @@ FAULTS = {
         _unsplit_first_part_plus_one,
         {"round-trip"},
     ),
+    "sequence_tails-repeats-first-in-phi": (
+        lambda jobs=1: verify_bijection_phi(2, 3, 6, jobs=jobs),
+        "abseq.sequence_tails",
+        _first_tail_again_for_last,
+        {"distinct"},
+    ),
+    "sequence_tails-repeats-first-in-iota": (
+        lambda jobs=1: verify_iota(10, jobs=jobs),
+        "abseq.sequence_tails",
+        _first_tail_again_for_last,
+        {"distinct"},
+    ),
 }
 
 
@@ -547,6 +591,26 @@ def test_iota_fails_when_conjugate_drops_its_last_entry(monkeypatch):
     assert {m.law for m in report.mismatches} == {"weight-additivity", "round-trip", "completeness"}
 
 
+def test_congruences_fail_when_the_staircase_weight_is_off(monkeypatch):
+    """The grid writes the staircase weight out, so a staircase 2 too heavy,
+    planted in every module that holds ``rank_staircase``, moves the closed
+    form's count off its family: ``mod-5`` trips, and the cross-check with it."""
+    rank_staircase = partitions.rank_staircase
+
+    def heavier(rank):
+        height, weight = rank_staircase(rank)
+        return height, weight + 2
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parity_board") and getattr(module, "rank_staircase", None) is rank_staircase:
+            monkeypatch.setattr(module, "rank_staircase", heavier)
+    report = verify_congruences(40)
+    assert {m.law for m in report.mismatches} == {"mod-5", "closed-form"}
+    sharded = verify_congruences(40, jobs=3)
+    assert list(sharded.tsv_lines()) == list(report.tsv_lines())
+    assert list(sharded.json_lines()) == list(report.json_lines())
+
+
 def _drop_last_column(s):
     return partitions.columns(s)[:-1]
 
@@ -596,7 +660,7 @@ def test_a_raising_map_is_reported_by_name():
         mp.setattr(bijections, "conjugate", fails_once)
         report = verify_bijection_phi(0, 1, 3)
     assert [(m.law, m.actual) for m in report.mismatches] == [("halved-weight", "ValueError: planted")]
-    assert report.checks_run == verify_bijection_phi(0, 1, 3).checks_run - 3 == 13
+    assert report.checks_run == verify_bijection_phi(0, 1, 3).checks_run - 3 == 17
 
 
 def test_theorem34_enumerates_each_parts_weight_pair_once(monkeypatch):
