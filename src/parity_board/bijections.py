@@ -25,7 +25,7 @@ from itertools import zip_longest
 from operator import add
 from typing import Sequence
 
-from .abseq import ABSequence, InvalidABSequence, alternating_sum, sequence_tails
+from .abseq import ABSequence, InvalidABSequence, alternating_sum
 from .partitions import (
     Partition,
     StrictPartition,
@@ -33,10 +33,10 @@ from .partitions import (
     columns,
     conjugate,
     from_columns,
-    partition_tuples,
     rank_staircase,
     strict_partition_tuples,
 )
+from .qseries import gf_coefficients
 
 __all__ = [
     "InvalidSequence",
@@ -284,11 +284,9 @@ def count_strict_by_parts_rank_formula(k: int, m: int, n: int) -> int:
 
     A strict partition with BG-rank k splits off the staircase of
     :func:`rank_staircase`, so it has at least that many parts.  When m
-    exceeds the height the leftovers form a sequence family cell; when m
-    equals it they pair up, giving partitions of half the leftover weight
-    with parts at most the height, so only the empty one at height 0.
-    Out-of-range (k, m, n) combinations count zero: a weight below
-    m(m+1)/2 leaves either a negative leftover or a cell with no sequences.
+    exceeds the height the leftovers form the sequence cell (height, m - height,
+    half); when m equals it they form a partition of half with parts at most the
+    height, empty or in the class (a, 1), largest part a + 1, of some a < height.
     """
     height, weight = rank_staircase(k)
     if m < height:
@@ -298,5 +296,6 @@ def count_strict_by_parts_rank_formula(k: int, m: int, n: int) -> int:
         return 0
     half = leftover // 2
     if m == height:
-        return sum(1 for _ in partition_tuples(half, max_part=height))
-    return sum(1 for _ in sequence_tails(height, m - height, half))
+        table = gf_coefficients(height, 1, half)
+        return (half == 0) + sum(table.get((a, 1, half), 0) for a in range(height))
+    return gf_coefficients(height, m - height, half).get((height, m - height, half), 0)

@@ -2,8 +2,9 @@
 
 A series truncated at q^N is a list of its N + 1 coefficients, plain Python
 integers, so arithmetic is exact at any size.  The sequence generating
-function is built only from factors 1/(1 - q^e), so dividing a list by
-(1 - q^e) in place is the one series operation the module needs.
+function, and Euler's product for the strict partitions, are built only from
+factors 1/(1 - q^e), so dividing a list by (1 - q^e) in place is the one
+series operation the module needs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from .partitions import partition_count, rank_staircase
 
 __all__ = [
+    "euler_product",
     "gf_coefficients",
     "strict_count_by_rank",
 ]
@@ -57,6 +59,19 @@ def gf_coefficients(max_a: int, max_b: int, trunc_order: int) -> dict[tuple[int,
                         entries[(a, 2 * h, base + h + m)] = s[m]
             h += 1
     return entries
+
+
+def euler_product(n: int) -> list[int]:
+    """The coefficients of q^0 .. q^n in Euler's product (-q; q)_inf, the
+    number of strict partitions of each weight.
+
+    Each part 1 + q^e equals (1 - q^2e) / (1 - q^e), so the product is
+    1/((1 - q)(1 - q^3)(1 - q^5) ...): one division per odd e up to ``n``.
+    """
+    c = [1] + [0] * n
+    for e in range(1, n + 1, 2):
+        _divide(c, e)
+    return c
 
 
 def strict_count_by_rank(rank: int, n: int) -> int:

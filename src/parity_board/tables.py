@@ -16,9 +16,8 @@ from .partitions import (
     enumerate_partitions,
     enumerate_strict_partitions,
     partition_count,
-    strict_partition_tuples,
 )
-from .qseries import gf_coefficients
+from .qseries import euler_product, gf_coefficients
 from .verify import canonical_json, theorem34_cells
 
 __all__ = [
@@ -90,10 +89,7 @@ def emit_table(kind: str, fmt: str = "tsv", **params: Optional[int]) -> Iterator
             },
         )
     if kind == "counts":
-        rows = (
-            (m, partition_count(m), sum(1 for _ in strict_partition_tuples(m)))
-            for m in range(params["n"] + 1)
-        )
+        rows = ((m, partition_count(m), strict) for m, strict in enumerate(euler_product(params["n"])))
         return _emit(rows, fmt, _tab, _fields("counts", "n", "partitions", "strict"))
     if kind == "s-coeffs":
         table = gf_coefficients(params["a_max"], params["b_max"], params["trunc"])

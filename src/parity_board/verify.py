@@ -43,7 +43,7 @@ from .partitions import (
     partition_tuples,
     strict_partition_tuples,
 )
-from .qseries import gf_coefficients, strict_count_by_rank
+from .qseries import euler_product, gf_coefficients, strict_count_by_rank
 
 __all__ = [
     "SWEEPS",
@@ -435,21 +435,28 @@ def verify_theorem34(
     return _sweep("strict-by-parts-and-rank", _thm34_cell, cells, params, jobs)
 
 
-def _euler_cell(cell: tuple[int, int]) -> Iterator[Check]:
+def _euler_cell(cell: tuple[int, int, int]) -> Iterator[Check]:
     """Count the strict partitions of ``n`` and compare with the count of
-    (triangular, even-part partition) pairs the cell carries."""
-    n, rhs = cell
-    yield "count-equality", {"n": n}, sum(1 for _ in strict_partition_tuples(n)), rhs
+    (triangular, even-part partition) pairs the cell carries; then compare
+    the coefficient of Euler's product it carries with the closed-form
+    counts by BG-rank, summed over every rank of absolute value at most n."""
+    n, pairs, product = cell
+    where = {"n": n}
+    yield "count-equality", where, sum(1 for _ in strict_partition_tuples(n)), pairs
+    yield "euler-product", where, product, sum(strict_count_by_rank(rank, n) for rank in range(-n, n + 1))
 
 
 def verify_euler_vandervelde(n_max: int = 40, jobs: int = 1) -> VerificationReport:
     """Strict partitions of n versus pairs (triangular part, partition into
-    even parts) of total weight n, both sides enumerated.
+    even parts) of total weight n, both sides enumerated, and Euler's product
+    for the strict partitions versus the closed-form counts by BG-rank.
 
     Doubling every part maps the partitions of m onto those of 2m into even
     parts, so the partitions of each half-weight up to ``n_max / 2`` are
     counted once, in this process, and each cell carries the number of pairs
-    of its weight; the cell enumerates only the strict side.
+    of its weight and the product's coefficient; the cell enumerates only the
+    strict side.  A strict partition of n has BG-rank at most n in absolute
+    value, so the ranks summed cover every one.
     """
     halves = [sum(1 for _ in partition_tuples(h)) for h in range(n_max // 2 + 1)]
     pairs = [0] * (n_max + 1)
@@ -458,7 +465,7 @@ def verify_euler_vandervelde(n_max: int = 40, jobs: int = 1) -> VerificationRepo
         for n in range(t, n_max + 1, 2):
             pairs[n] += halves[(n - t) // 2]
         k += 1
-    cells = list(enumerate(pairs))
+    cells = list(zip(range(n_max + 1), pairs, euler_product(n_max)))
     return _sweep("strict-vs-triangular-plus-even", _euler_cell, cells, {"n_max": n_max}, jobs)
 
 

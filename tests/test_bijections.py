@@ -24,6 +24,7 @@ from parity_board.partitions import (
     bg_rank,
     enumerate_partitions,
     enumerate_strict_partitions,
+    partition_tuples,
 )
 
 BIG_ENTRIES = (7, 8, 9, 10, 11, 11, 8, 7, 5, 5, 4, 3, 1, 1)
@@ -285,6 +286,18 @@ class TestCountsByPartsAndRank:
         assert count_strict_by_parts_rank_formula(-2, 3, 20) == 0
         assert count_strict_by_parts_rank_formula(1, 1, 4) == 0  # odd leftover
         assert count_strict_by_parts_rank_formula(0, -1, 0) == 0  # fewer parts than the staircase
+
+    def test_parts_equal_to_the_staircase_height_count_bounded_partitions(self):
+        """With m equal to the height the leftovers pair up into a partition of
+        half their weight with parts at most the height, which the formula reads
+        off the classes (a, 1), a < height, of the sequence series.  Every
+        height is the staircase of one rank: 2k - 1 for k > 0, -2k otherwise."""
+        for height in range(13):
+            k = (height + 1) // 2 if height % 2 else -height // 2
+            weight = height * (height + 1) // 2
+            for half in range(61):
+                bounded = sum(1 for _ in partition_tuples(half, max_part=height))
+                assert count_strict_by_parts_rank_formula(k, height, weight + 2 * half) == bounded
 
 
 SEQUENCE_POOL = [

@@ -12,6 +12,7 @@ import pytest
 import parity_board
 from parity_board import tables, verify
 from parity_board.cli import build_parser, main
+from parity_board.partitions import strict_partition_tuples
 from parity_board.qseries import gf_coefficients
 
 TABLE1_N7 = (
@@ -51,6 +52,16 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "counts", "--n", "0")
         assert code == 0
         assert out == "0\t1\t1\n"
+
+    def test_counts_strict_column_is_eulers_product(self):
+        """The strict column, read off Euler's product, equals enumeration for
+        every m <= 40 and the known q(100) and q(200) beyond it."""
+        rows = [line.split("\t") for line in tables.emit_table("counts", n=200)]
+        assert [int(m) for m, _, _ in rows] == list(range(201))
+        strict = [int(row[2]) for row in rows]
+        assert strict[:41] == [sum(1 for _ in strict_partition_tuples(m)) for m in range(41)]
+        assert strict[100] == 444_793
+        assert strict[200] == 487_067_746
 
     def test_s_coeffs_matches_table(self, capsys):
         code, out, _ = run_cli(

@@ -376,9 +376,11 @@ def test_vacuous_reports_say_so():
 
 
 def _off_by_one_entry(*bounds):
+    """The table with its first cell but (0, 0, 0) one too high; a table
+    that holds no other cell, as at weight 0, is left as it is."""
     table = gf_coefficients(*bounds)
-    key = min(cell for cell in table if cell != (0, 0, 0))
-    return {**table, key: table[key] + 1}
+    key = min((cell for cell in table if cell != (0, 0, 0)), default=None)
+    return table if key is None else {**table, key: table[key] + 1}
 
 
 def _first_part_plus_one(seq):
@@ -418,6 +420,11 @@ def _first_tail_again_for_last(a, b, half_weight):
     return iter(tails[:-1] + tails[:1])
 
 
+def _p24_plus_5(n):
+    """p(n), but 5 too many at n = 24: a fault that keeps p(5j + 4) divisible by 5."""
+    return partitions.partition_count(n) + 5 * (n == 24)
+
+
 def _second_sent_to_first(s):
     """The split, except that the second strict partition of each weight
     is sent to the first one's image."""
@@ -440,7 +447,10 @@ def _second_sent_to_first(s):
 # enumerator that drops a row fails only the cardinality.  The strict
 # enumerator that drops a row breaks the side that euler computes once and
 # reuses.  Tails that repeat the first in place of the last keep every count
-# and every object valid, so only ``distinct`` sees them.
+# and every object valid, so only ``distinct`` sees them.  Theorem 3.4's
+# formula reads the sequence series, so a broken series trips thm34 as well as
+# gf.  p(24) + 5 stays divisible by 5, and only Euler's product sees it, at
+# n = 48 and 49 up to 50.
 FAULTS = {
     "partition_from_sequence": (
         lambda jobs=1: verify_bijection_phi(2, 3, 6, jobs=jobs),
@@ -471,6 +481,18 @@ FAULTS = {
         "verify.count_strict_by_parts_rank_formula",
         lambda k, m, n: count_strict_by_parts_rank_formula(k, m, n) + 1,
         {"count-equality"},
+    ),
+    "gf_coefficients-in-thm34": (
+        lambda jobs=1: verify_theorem34(-2, 2, 5, 15, jobs=jobs),
+        "bijections.gf_coefficients",
+        _off_by_one_entry,
+        {"count-equality"},
+    ),
+    "partition_count-p24-plus-5": (
+        lambda jobs=1: verify_euler_vandervelde(50, jobs=jobs),
+        "qseries.partition_count",
+        _p24_plus_5,
+        {"euler-product"},
     ),
     "partition_tuples": (
         lambda jobs=1: verify_euler_vandervelde(12, jobs=jobs),
@@ -719,5 +741,5 @@ def test_euler_counts_each_even_part_weight_once(monkeypatch):
     calls = _counting(monkeypatch, verify, "partition_tuples")
     report = verify_euler_vandervelde(20)
     assert report.passed
-    assert report.checks_run == 21
+    assert report.checks_run == 2 * 21
     assert calls == [(h,) for h in range(11)]
